@@ -22,11 +22,8 @@ from __future__ import annotations
 
 import argparse
 import sys
-import time
 from dataclasses import replace
 from pathlib import Path
-
-import numpy as np
 
 from .evalbench import (
     STRATEGIES,
@@ -56,6 +53,7 @@ from .pipeline import (
     infer_bank,
     oracle_provider,
     read_cache,
+    refine_mil,
     train_e2e,
     train_full,
     train_mil_stage2,
@@ -234,17 +232,14 @@ def cmd_train(args) -> int:
         conf["train.seed"] = args.seed
     dataset = _load_dataset(args.dataset)
     classes = dataset.spec.classes
-    enc_cfg, mil_cfg, train_cfg = configs_from(conf, classes)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    if args.stage == "mil_only" and not args.cache:
+        raise CliConfigError("--stage mil_only requires --cache")
+    model, enc_cfg, _, train_cfg = _load_model_for(dataset, conf, args.init_params)
 
     if args.stage == "mil_only":
-        if not args.cache:
-            raise CliConfigError("--stage mil_only requires --cache")
         cache = read_cache(Path(args.cache))
-        model = build_model(enc_cfg, mil_cfg, conf["model.seed"])
-        if args.init_params:
-            load_params(model.store, Path(args.init_params))
         labels = {rec.ident: rec.label for rec in dataset.slides}
         dims = {rec.ident: (rec.width, rec.height) for rec in dataset.slides}
         s2 = replace(train_cfg, stage="mil_only")
@@ -252,9 +247,6 @@ def cmd_train(args) -> int:
     else:
         provider = _provider(dataset, args.mask)
         banks = build_banks(dataset, provider, enc_cfg.input_side)
-        model = build_model(enc_cfg, mil_cfg, conf["model.seed"])
-        if args.init_params:
-            load_params(model.store, Path(args.init_params))
         manifest = train_e2e(banks, model, train_cfg)
         cache = cache_features(banks, model, scales=train_cfg.scales)
         write_cache(cache, out / "features.msml")
@@ -271,11 +263,11 @@ def cmd_train(args) -> int:
 def _load_model_for(dataset, conf, params_path):
     enc_cfg, mil_cfg, train_cfg = configs_from(conf, dataset.spec.classes)
     model = build_model(enc_cfg, mil_cfg, conf["model.seed"])
-    if params_path:
-        path = Path(params_path)
-        if not path.exists():
-            raise FileNotFoundError(f"params file {path} not found")
-        load_params(model.store, path)
+    if params_path is not None:
+        # an empty path names the working directory, not a params file
+        if not Path(params_path).is_file():
+            raise FileNotFoundError(f"params file {params_path!r} not found")
+        load_params(model.store, Path(params_path))
     return model, enc_cfg, mil_cfg, train_cfg
 
 
@@ -364,15 +356,10 @@ def cmd_sweep(args) -> int:
         return build_model(enc_cfg, mil_cfg, conf["model.seed"])
 
     def refine(model, tb):
-        if conf["train.stage2_epochs"] > 0:
-            cache = cache_features(tb, model, scales=train_cfg.scales)
-            labels = {b.ident: b.label for b in tb}
-            dims = {b.ident: (b.width, b.height) for b in tb}
-            s2 = replace(train_cfg, epochs=conf["train.stage2_epochs"],
-                         lr=conf["train.stage2_lr"], stage="mil_only")
-            train_mil_stage2(cache, labels, model, s2, dims)
+        refine_mil(tb, model, train_cfg, conf["train.stage2_epochs"], conf["train.stage2_lr"])
 
-    curve = graph_size_sweep(train_banks, test_banks, sizes, train_cfg, factory, refine)
+    curve = graph_size_sweep(train_banks, test_banks, sizes, train_cfg, factory,
+                             refine if conf["train.stage2_epochs"] > 0 else None)
     for b, acc in curve:
         print(f"{b} {acc:.4f}")
     if args.out:
@@ -454,16 +441,11 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except CliConfigError as e:
+    except (CliConfigError, ConfigError, RankError, SpecError, ValueError,
+            StratificationError, InputError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    except (ConfigError, RankError, SpecError, ValueError, StratificationError, InputError) as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
-    except FileNotFoundError as e:
-        print(f"missing input: {e}", file=sys.stderr)
-        return EXIT_MISSING
-    except (CoverageError,) as e:
+    except (FileNotFoundError, CoverageError) as e:
         print(f"missing input: {e}", file=sys.stderr)
         return EXIT_MISSING
     except (DivergenceError, UndefinedAucError) as e:

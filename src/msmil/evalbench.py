@@ -110,9 +110,7 @@ def evaluate_strategy(banks: list[SlideBank], model: Model, strategy: str,
         if source == "random_k":
             idx = select_batch(bank, "random_k", 10 ** 9, slide_rng, tuple(scales), tuple(quotas))
         else:
-            idx = bank.idx_for(source, tuple(scales))
-            if len(idx) == 0:
-                idx = bank.idx_for("all_nonbackground", tuple(scales))
+            idx, _ = bank.usable_idx(source, tuple(scales))
         bag = bag_from_bank(bank, idx, model)
         p = model.mil.forward(bag).data[0]
         preds.append(int(np.argmax(p)))

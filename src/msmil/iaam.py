@@ -4,6 +4,11 @@ Pipeline: canonical spatial ordering -> additive coordinate/scale/index
 encodings -> low-rank latent attention layer(s) -> learnable-query cross
 attention -> gated pooling -> classification head.
 
+`IaamNet.trace` is the one forward pass: it returns the ordered bag, the
+cross-attention rows and gate values it used, and the logits. Training,
+inference and attention diagnostics all read that pass, so a diagnostic is
+always the one behind the prediction.
+
 Fidelity notes, each locked by a brute-force oracle test:
 * the latent attention layer with heads=1 is exactly
   MLP(LayerNorm(A_low (T' W_value))) with A_low = softmax(Q_low K_low^T / sqrt(r)),
@@ -18,7 +23,7 @@ Fidelity notes, each locked by a brute-force oracle test:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -89,6 +94,16 @@ def order_instances(bag: Bag) -> Bag:
     features = nc.gather_rows(bag.features, order)
     return Bag(features, bag.coords[order], bag.scale_codes[order],
                bag.width, bag.height, bag.label)
+
+
+@dataclass
+class IaamTrace:
+    """What one forward pass computed, for a bag in canonical order."""
+
+    bag: Bag                 # the ordered bag the pass ran on
+    attention: np.ndarray    # (queries, N) cross-attention rows
+    gates: np.ndarray        # (queries,) sigmoid gate per refined query row
+    logits: nc.Tensor        # (1, classes)
 
 
 class IaamNet:
@@ -163,16 +178,18 @@ class IaamNet:
         out = nc.add(nc.matmul(hidden, self._p(f"{base}.mlp2.w")), self._p(f"{base}.mlp2.b"))
         return nc.add(out, x) if cfg.residual else out
 
-    def dmq_cross_attention(self, encoded: nc.Tensor) -> nc.Tensor:
+    def dmq_cross_attention(self, encoded: nc.Tensor) -> tuple[nc.Tensor, nc.Tensor]:
+        """Refined query rows (queries, dim) and the attention (queries, N) behind them."""
         q = nc.matmul(self._p("dmq.queries"), self._p("dmq.query_proj"))
         k = nc.matmul(encoded, self._p("dmq.key_proj"))
         v = nc.matmul(encoded, self._p("dmq.value_proj"))
         attn = nc.softmax_rows(nc.scale(nc.matmul(q, nc.transpose(k)), 1.0 / np.sqrt(self.cfg.dim)))
-        return nc.matmul(attn, v)
+        return nc.matmul(attn, v), attn
 
-    def gated_pool(self, refined: nc.Tensor) -> nc.Tensor:
+    def gated_pool(self, refined: nc.Tensor) -> tuple[nc.Tensor, nc.Tensor]:
+        """Gate-weighted sum of the refined rows (1, dim) and the gates (queries, 1)."""
         gates = nc.sigmoid(nc.add(nc.matmul(refined, self._p("gate.w")), self._p("gate.b")))
-        return nc.matmul(nc.transpose(gates), refined)
+        return nc.matmul(nc.transpose(gates), refined), gates
 
     def logits(self, bag_feature: nc.Tensor) -> nc.Tensor:
         return nc.add(nc.matmul(bag_feature, self._p("head.w")), self._p("head.b"))
@@ -182,43 +199,19 @@ class IaamNet:
 
     # ------------------------------------------------------------- surface
 
-    def forward_logits(self, bag: Bag) -> nc.Tensor:
+    def trace(self, bag: Bag) -> IaamTrace:
+        """The forward pass, with the attention and gates it used."""
         bag = order_instances(bag)
         x = self.inject_encodings(bag)
         for layer in range(self.cfg.layers):
             x = self.mla_layer(x, layer)
-        refined = self.dmq_cross_attention(x)
-        pooled = self.gated_pool(refined)
-        return self.logits(pooled)
+        refined, attn = self.dmq_cross_attention(x)
+        pooled, gates = self.gated_pool(refined)
+        return IaamTrace(bag, attn.data, gates.data[:, 0], self.logits(pooled))
+
+    def forward_logits(self, bag: Bag) -> nc.Tensor:
+        return self.trace(bag).logits
 
     def forward(self, bag: Bag) -> nc.Tensor:
         """Bag -> class probabilities (1, C)."""
         return nc.softmax_rows(self.forward_logits(bag))
-
-    # --------------------------------------------------------- diagnostics
-
-    def dmq_attention_weights(self, bag: Bag) -> np.ndarray:
-        """(queries, N) cross-attention rows for an ordered bag; inference only."""
-        bag = order_instances(bag)
-        x = self.inject_encodings(bag)
-        for layer in range(self.cfg.layers):
-            x = self.mla_layer(x, layer)
-        q = nc.matmul(self._p("dmq.queries"), self._p("dmq.query_proj"))
-        k = nc.matmul(x, self._p("dmq.key_proj"))
-        attn = nc.softmax_rows(nc.scale(nc.matmul(q, nc.transpose(k)), 1.0 / np.sqrt(self.cfg.dim)))
-        return attn.data
-
-    def gate_values(self, bag: Bag) -> np.ndarray:
-        bag = order_instances(bag)
-        x = self.inject_encodings(bag)
-        for layer in range(self.cfg.layers):
-            x = self.mla_layer(x, layer)
-        refined = self.dmq_cross_attention(x)
-        gates = nc.sigmoid(nc.add(nc.matmul(refined, self._p("gate.w")), self._p("gate.b")))
-        return gates.data.reshape(-1)
-
-
-def ordered_scale_codes(bag: Bag) -> np.ndarray:
-    """Scale codes in canonical bag order (for attention diagnostics)."""
-    order = np.lexsort((bag.scale_codes, bag.coords[:, 1], bag.coords[:, 0]))
-    return bag.scale_codes[order]

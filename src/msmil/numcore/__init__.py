@@ -16,7 +16,6 @@ from .engine import (
     mul,
     param,
     record,
-    recording,
     reshape,
     scale,
     sigmoid,
@@ -24,7 +23,6 @@ from .engine import (
     slice_cols,
     slice_rows,
     softmax_rows,
-    sub,
     sum_all,
     tensor,
     transpose,
@@ -37,8 +35,8 @@ __all__ = [
     "EngineError", "Graph", "LabelError", "ShapeError", "Tensor",
     "add", "block_self_attention", "concat_cols", "concat_rows", "conv_unfold",
     "cross_entropy", "gather_rows", "layer_norm", "matmul", "mul", "param",
-    "record", "recording", "reshape", "scale", "sigmoid", "silu",
-    "slice_cols", "slice_rows", "softmax_rows", "sub", "sum_all", "tensor",
+    "record", "reshape", "scale", "sigmoid", "silu",
+    "slice_cols", "slice_rows", "softmax_rows", "sum_all", "tensor",
     "transpose", "DeterminismError", "finite_diff_check",
     "GradAccumSgd", "ProtocolError", "Rng",
 ]

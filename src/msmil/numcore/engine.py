@@ -49,24 +49,12 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    def zero_grad(self):
-        self.grad = None
-
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
 
     def __repr__(self):
         tag = f" name={self.name!r}" if self.name else ""
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad}{tag})"
-
-    def __matmul__(self, other: "Tensor") -> "Tensor":
-        return matmul(self, other)
-
-    def __add__(self, other: "Tensor") -> "Tensor":
-        return add(self, other)
-
-    def __mul__(self, other):
-        return scale(self, other) if isinstance(other, (int, float)) else mul(self, other)
 
 
 def tensor(data) -> Tensor:
@@ -122,10 +110,6 @@ def record():
         yield g
     finally:
         _active.pop()
-
-
-def recording() -> bool:
-    return bool(_active)
 
 
 def _emit(out: Tensor, inputs: tuple, vjp: Callable) -> None:
@@ -191,10 +175,6 @@ def scale(a: Tensor, c: float) -> Tensor:
     out = Tensor(a.data * c)
     _emit(out, (a,), lambda g: (g * c,))
     return out
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    return add(a, scale(b, -1.0))
 
 
 def sum_all(a: Tensor) -> Tensor:

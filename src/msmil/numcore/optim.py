@@ -36,12 +36,6 @@ class GradAccumSgd:
                 buf += p.grad
         self._count += 1
 
-    def accumulate_and_step(self) -> None:
-        """Accumulate; apply the averaged update once accum_steps have landed."""
-        self.accumulate()
-        if self.ready:
-            self.step()
-
     def step(self) -> None:
         """Apply param <- param - lr * mean(accumulated grads); clears buffers."""
         if self._count != self.accum_steps:

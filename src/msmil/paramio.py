@@ -49,27 +49,30 @@ def read_params(path: Path) -> dict[str, np.ndarray]:
     buf = Path(path).read_bytes()
     if buf[:4] != MAGIC:
         raise ParamFormatError(f"bad magic {buf[:4]!r}")
-    version, count = struct.unpack_from("<II", buf, 4)
-    if version != VERSION:
-        raise ParamFormatError(f"unsupported version {version}")
-    pos = 12
-    table: list[tuple[str, tuple[int, ...]]] = []
-    for _ in range(count):
-        (name_len,) = struct.unpack_from("<H", buf, pos)
-        pos += 2
-        name = buf[pos:pos + name_len].decode("utf-8")
-        pos += name_len
-        (ndim,) = struct.unpack_from("<I", buf, pos)
-        pos += 4
-        dims = struct.unpack_from(f"<{ndim}I", buf, pos)
-        pos += 4 * ndim
-        table.append((name, dims))
-    out = {}
-    for name, dims in table:
-        n = int(np.prod(dims)) if dims else 1
-        arr = np.frombuffer(buf, dtype="<f8", count=n, offset=pos).reshape(dims)
-        pos += 8 * n
-        out[name] = arr.astype(np.float64)
+    try:
+        version, count = struct.unpack_from("<II", buf, 4)
+        if version != VERSION:
+            raise ParamFormatError(f"unsupported version {version}")
+        pos = 12
+        table: list[tuple[str, tuple[int, ...]]] = []
+        for _ in range(count):
+            (name_len,) = struct.unpack_from("<H", buf, pos)
+            pos += 2
+            name = buf[pos:pos + name_len].decode("utf-8")
+            pos += name_len
+            (ndim,) = struct.unpack_from("<I", buf, pos)
+            pos += 4
+            dims = struct.unpack_from(f"<{ndim}I", buf, pos)
+            pos += 4 * ndim
+            table.append((name, dims))
+        out = {}
+        for name, dims in table:
+            n = int(np.prod(dims)) if dims else 1
+            arr = np.frombuffer(buf, dtype="<f8", count=n, offset=pos).reshape(dims)
+            pos += 8 * n
+            out[name] = arr.astype(np.float64)
+    except (struct.error, ValueError) as e:  # a cut header or body
+        raise ParamFormatError(f"truncated or malformed params file: {e}") from None
     if pos != len(buf):
         raise ParamFormatError(f"{len(buf) - pos} trailing bytes")
     return out

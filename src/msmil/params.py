@@ -47,9 +47,6 @@ class ParamStore:
         for t in self._by_name.values():
             t.grad = None
 
-    def n_scalars(self) -> int:
-        return sum(t.data.size for t in self._by_name.values())
-
     def copy_values(self) -> dict[str, np.ndarray]:
         return {n: t.data.copy() for n, t in self.items()}
 

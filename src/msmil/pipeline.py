@@ -5,6 +5,9 @@ patch encoding through the attention network and the loss, so gradients
 reach both parameter groups (the end-to-end coupling this build exists to
 demonstrate). Stage two freezes the encoder by construction: it trains the
 attention network on cached feature files in which patches are constants.
+Both stages run the same epoch schedule (`_Epochs`): slide order, batch
+streams, divergence check and manifest entries. A non-finite loss stops
+training before it reaches the parameters.
 
 Per-slide crops are resized once into an in-memory bank; crops are pure
 functions of the slide, so the cache changes nothing observable.
@@ -33,7 +36,7 @@ from .sffm import (
     full_grid,
     run_sffm,
 )
-from .synthwsi import Dataset, PyramidImage, SlideRecord
+from .synthwsi import Dataset, SlideRecord
 
 BACKGROUND_MEAN = 240.0  # patches brighter than this on every channel are skipped
 
@@ -134,6 +137,17 @@ class SlideBank:
             idx = np.asarray([i for i in idx if self.refs[i].d_k in keep], dtype=np.int64)
         return idx
 
+    def usable_idx(self, source: str, scales: tuple[int, ...]) -> tuple[np.ndarray, bool]:
+        """`idx_for(source)`, or the non-background grid with the fallback
+        flag set when that is empty; EmptySlideError when both are."""
+        idx = self.idx_for(source, scales)
+        if len(idx):
+            return idx, False
+        idx = self.idx_for("all_nonbackground", scales)
+        if len(idx) == 0:
+            raise EmptySlideError(f"slide {self.ident} has no usable patches")
+        return idx, True
+
 
 def build_bank(record: SlideRecord, provider: MaskProvider, resize_side: int) -> SlideBank:
     image = record.image()
@@ -216,6 +230,61 @@ def bag_from_bank(bank: SlideBank, idx: np.ndarray, model: Model,
 # ----------------------------------------------------------- e2e training
 
 
+class _Epochs:
+    """The epoch schedule both training stages run, and its manifest.
+
+    Iterating yields (slide position, batch rng) once per step. The caller
+    runs the step in its own loop body and reports (loss, predicted label)
+    through `done` before taking the next one: that keeps each step's tape
+    alive until the next step's record replaces it, as one loop would. A
+    non-finite loss raises DivergenceError, with `diverged_at_step` in the
+    manifest.
+    """
+
+    def __init__(self, stage: str, labels: list[int], cfg: TrainConfig):
+        self.t0 = time.perf_counter()
+        self.labels = labels
+        self.cfg = cfg
+        self.manifest: dict = {"stage": stage, "slides": len(labels)}
+        self.manifest.update(config_echo(cfg))
+        self.result: tuple[float, int] | None = None
+
+    def done(self, loss: float, pred: int) -> None:
+        self.result = (loss, pred)
+
+    def __iter__(self):
+        root = nc.Rng(self.cfg.seed)
+        step = 0
+        for epoch in range(self.cfg.epochs):
+            order = root.child(100 + epoch).permutation(len(self.labels))
+            batch_rng = root.child(200 + epoch)
+            losses, hits = [], 0
+            for pos in order:
+                self.result = None
+                yield pos, batch_rng
+                loss, pred = self.result
+                if not np.isfinite(loss):
+                    self.manifest["diverged_at_step"] = step
+                    raise DivergenceError(step, loss)
+                losses.append(loss)
+                hits += int(pred == self.labels[pos])
+                step += 1
+            self.manifest[f"epoch{epoch}_loss"] = f"{np.mean(losses):.6f}"
+            self.manifest[f"epoch{epoch}_acc"] = f"{hits / len(self.labels):.4f}"
+        self.manifest["steps"] = step
+        self.manifest["wall_clock_s"] = f"{time.perf_counter() - self.t0:.3f}"
+
+
+def _update(graph: nc.Graph, loss: nc.Tensor, opt: nc.GradAccumSgd) -> None:
+    """Backward and optimizer update, skipped for a non-finite loss so that
+    it never reaches the parameters."""
+    if np.isfinite(loss.item()):
+        graph.backward(loss)
+        opt.accumulate()
+        if opt.ready:
+            opt.step()
+
+
 def e2e_train_step(bank: SlideBank, model: Model, opt: nc.GradAccumSgd,
                    cfg: TrainConfig, rng: nc.Rng) -> tuple[float, int]:
     """One recorded forward/backward over a sampled bag; updates both the
@@ -228,39 +297,17 @@ def e2e_train_step(bank: SlideBank, model: Model, opt: nc.GradAccumSgd,
         bag = bag_from_bank(bank, idx, model)
         logits = model.mil.forward_logits(bag)
         loss = nc.cross_entropy(logits, bank.label)
-    graph.backward(loss)
-    opt.accumulate()
-    if opt.ready:
-        opt.step()
+    _update(graph, loss, opt)
     return loss.item(), int(np.argmax(logits.data))
 
 
 def train_e2e(banks: list[SlideBank], model: Model, cfg: TrainConfig) -> dict:
     """Joint training over epochs x slides (one slide bag per step)."""
-    t0 = time.perf_counter()
+    epochs = _Epochs("e2e", [b.label for b in banks], cfg)
     opt = nc.GradAccumSgd(model.store.tensors(), lr=cfg.lr, accum_steps=cfg.accum_steps)
-    root = nc.Rng(cfg.seed)
-    manifest: dict = {"stage": "e2e", "slides": len(banks)}
-    manifest.update(config_echo(cfg))
-    step = 0
-    for epoch in range(cfg.epochs):
-        order = root.child(100 + epoch).permutation(len(banks))
-        batch_rng = root.child(200 + epoch)
-        losses, hits = [], 0
-        for slide_pos in order:
-            bank = banks[slide_pos]
-            loss, pred = e2e_train_step(bank, model, opt, cfg, batch_rng)
-            if not np.isfinite(loss):
-                manifest["diverged_at_step"] = step
-                raise DivergenceError(step, loss)
-            losses.append(loss)
-            hits += int(pred == bank.label)
-            step += 1
-        manifest[f"epoch{epoch}_loss"] = f"{np.mean(losses):.6f}"
-        manifest[f"epoch{epoch}_acc"] = f"{hits / len(banks):.4f}"
-    manifest["steps"] = step
-    manifest["wall_clock_s"] = f"{time.perf_counter() - t0:.3f}"
-    return manifest
+    for pos, rng in epochs:
+        epochs.done(*e2e_train_step(banks[pos], model, opt, cfg, rng))
+    return epochs.manifest
 
 
 def config_echo(cfg: TrainConfig) -> dict:
@@ -348,6 +395,8 @@ def read_cache(path: Path) -> FeatureCache:
     buf = path.read_bytes()
     if buf[:4] != CACHE_MAGIC:
         raise CacheFormatError(f"bad magic {buf[:4]!r}")
+    if len(buf) < 16:
+        raise CacheFormatError(f"header cut short at {len(buf)} bytes")
     version, count, dim = struct.unpack_from("<III", buf, 4)
     if version != CACHE_VERSION:
         raise CacheFormatError(f"unsupported version {version}")
@@ -357,11 +406,14 @@ def read_cache(path: Path) -> FeatureCache:
         raise CacheFormatError(f"raster size {len(data)} != expected {need}")
     rows = np.frombuffer(data, dtype="<f4").reshape(count, dim).astype(np.float32)
     sidecar = []
-    for line in sidecar_path(path).read_text().splitlines():
-        if not line.strip():
-            continue
-        ident, x, y, d_k, code = line.split()
-        sidecar.append((ident, int(x), int(y), int(d_k), int(code)))
+    try:
+        for line in sidecar_path(path).read_text().splitlines():
+            if not line.strip():
+                continue
+            ident, x, y, d_k, code = line.split()
+            sidecar.append((ident, int(x), int(y), int(d_k), int(code)))
+    except ValueError as e:  # a short line, a bad number, or bytes that are not text
+        raise CacheFormatError(f"malformed sidecar: {e}") from None
     return FeatureCache(rows, sidecar)
 
 
@@ -374,39 +426,39 @@ def train_mil_stage2(cache: FeatureCache, labels: dict[str, int], model: Model,
     are graph constants, so extractor gradients are zero by construction."""
     if cache.rows.shape[0] == 0:
         raise CacheFormatError("empty feature cache")
-    t0 = time.perf_counter()
     groups = cache.by_slide()
     idents = sorted(groups)
+    epochs = _Epochs("mil_only", [labels[ident] for ident in idents], cfg)
     opt = nc.GradAccumSgd(model.mil_params(), lr=cfg.lr, accum_steps=cfg.accum_steps)
-    root = nc.Rng(cfg.seed)
-    manifest: dict = {"stage": "mil_only", "slides": len(idents)}
-    manifest.update(config_echo(cfg))
-    for epoch in range(cfg.epochs):
-        order = root.child(100 + epoch).permutation(len(idents))
-        losses, hits = [], 0
-        for pos in order:
-            ident = idents[pos]
-            idx = groups[ident]
-            entries = [cache.sidecar[i] for i in idx]
-            coords = np.asarray([(e[1], e[2]) for e in entries], dtype=np.int64)
-            scales = np.asarray([e[4] for e in entries], dtype=np.int64)
-            dims = (slide_dims or {}).get(ident, (4096, 4096))
-            feats = nc.tensor(cache.rows[idx].astype(np.float64))
-            bag = Bag(feats, coords, scales, dims[0], dims[1], label=labels[ident])
-            opt.zero_grad()
-            with nc.record() as graph:
-                logits = model.mil.forward_logits(bag)
-                loss = nc.cross_entropy(logits, labels[ident])
-            graph.backward(loss)
-            opt.accumulate()
-            if opt.ready:
-                opt.step()
-            losses.append(loss.item())
-            hits += int(np.argmax(logits.data) == labels[ident])
-        manifest[f"epoch{epoch}_loss"] = f"{np.mean(losses):.6f}"
-        manifest[f"epoch{epoch}_acc"] = f"{hits / len(idents):.4f}"
-    manifest["wall_clock_s"] = f"{time.perf_counter() - t0:.3f}"
-    return manifest
+    # the step stays inline: its locals live until the next step replaces
+    # them, so the freed tape is reused instead of handed back to the OS
+    for pos, _ in epochs:
+        ident = idents[pos]
+        idx = groups[ident]
+        entries = [cache.sidecar[i] for i in idx]
+        coords = np.asarray([(e[1], e[2]) for e in entries], dtype=np.int64)
+        scales = np.asarray([e[4] for e in entries], dtype=np.int64)
+        dims = (slide_dims or {}).get(ident, (4096, 4096))
+        feats = nc.tensor(cache.rows[idx].astype(np.float64))
+        bag = Bag(feats, coords, scales, dims[0], dims[1], label=labels[ident])
+        opt.zero_grad()
+        with nc.record() as graph:
+            logits = model.mil.forward_logits(bag)
+            loss = nc.cross_entropy(logits, labels[ident])
+        _update(graph, loss, opt)
+        epochs.done(loss.item(), int(np.argmax(logits.data)))
+    return epochs.manifest
+
+
+def refine_mil(banks: list[SlideBank], model: Model, cfg: TrainConfig,
+               epochs: int, lr: float) -> dict:
+    """Stage two of the protocol: cache the trained encoder's features of
+    `banks`, then train the attention network alone on them."""
+    cache = cache_features(banks, model, scales=cfg.scales)
+    labels = {b.ident: b.label for b in banks}
+    dims = {b.ident: (b.width, b.height) for b in banks}
+    s2_cfg = replace(cfg, epochs=epochs, lr=lr, stage="mil_only")
+    return train_mil_stage2(cache, labels, model, s2_cfg, dims)
 
 
 # ---------------------------------------------------------------- inference
@@ -426,27 +478,11 @@ def infer_bank(bank: SlideBank, model: Model, source: str = "lesion_only",
     """Filter -> extract -> fuse, no graph recording. An empty filtered set
     falls back to the non-background grid with a flag."""
     t0 = time.perf_counter()
-    idx = bank.idx_for(source, scales)
-    fallback = False
-    if len(idx) == 0:
-        idx = bank.idx_for("all_nonbackground", scales)
-        fallback = True
-        if len(idx) == 0:
-            raise EmptySlideError(f"slide {bank.ident} has no usable patches")
+    idx, fallback = bank.usable_idx(source, scales)
     bag = bag_from_bank(bank, idx, model)
     probs = model.mil.forward(bag).data[0]
     wall = (time.perf_counter() - t0) * 1000.0
     return InferResult(int(np.argmax(probs)), probs, len(idx), wall, fallback)
-
-
-def infer(record: SlideRecord, provider: MaskProvider, model: Model,
-          source: str = "lesion_only", scales: tuple[int, ...] = SCALE_SIDES) -> InferResult:
-    """Single-slide path from raw pixels (bank built on the fly, timed)."""
-    t0 = time.perf_counter()
-    bank = build_bank(record, provider, model.encoder_cfg.input_side)
-    result = infer_bank(bank, model, source, scales)
-    result.wall_ms = (time.perf_counter() - t0) * 1000.0
-    return result
 
 
 # ---------------------------------------------------------------- protocol
@@ -472,11 +508,7 @@ def train_full(banks: list[SlideBank], encoder_cfg: EncoderConfig, mil_cfg: Iaam
     model = build_model(encoder_cfg, mil_cfg, model_seed)
     manifest = train_e2e(banks, model, cfg)
     if stage2_epochs > 0:
-        cache = cache_features(banks, model, scales=cfg.scales)
-        labels = {b.ident: b.label for b in banks}
-        dims = {b.ident: (b.width, b.height) for b in banks}
-        s2_cfg = replace(cfg, epochs=stage2_epochs, stage="mil_only",
-                         lr=cfg.lr if stage2_lr is None else stage2_lr)
-        s2_manifest = train_mil_stage2(cache, labels, model, s2_cfg, dims)
+        s2_manifest = refine_mil(banks, model, cfg, stage2_epochs,
+                                 cfg.lr if stage2_lr is None else stage2_lr)
         manifest.update({f"stage2_{k}": v for k, v in s2_manifest.items()})
     return model, manifest

@@ -14,7 +14,7 @@ Geometry conventions (all tested against a brute-force re-scan):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Protocol
 
@@ -123,13 +123,17 @@ class FileMaskProvider:
 
 def scan_grid(mask: LesionMask, s1: float, s2: float, d_k: int) -> list[tuple[int, int, int, int]]:
     """Non-overlapping windows (x_lo, y_lo, x_hi, y_hi) in mask space."""
+    return _tile(mask.red.shape[0], s1, s2, d_k)
+
+
+def _tile(side: int, s1: float, s2: float, d_k: int) -> list[tuple[int, int, int, int]]:
+    """The windows of `scan_grid` over a side x side mask."""
     w = d_k / s1
     h = d_k / s2
     if w < 1.0 or h < 1.0:
         raise ResolutionError(
             f"patch side {d_k} maps below one mask pixel (window {w:.3f}x{h:.3f})"
         )
-    side = mask.red.shape[0]
 
     def positions(step: float):
         out = []
@@ -223,21 +227,15 @@ def run_sffm(image: PyramidImage, provider: MaskProvider,
     return PatchSet(refs, per_scale, slide_id=image.ident)
 
 
-_BLANK_MASK: LesionMask | None = None
-
-
 def full_grid(width: int, height: int, scales: tuple[int, ...] = SCALE_SIDES) -> list[PatchRef]:
     """Every grid position of the scan tiling regardless of the mask, in
     (d_k ascending, y, x) order. The lesion-filtered refs are always a
     subset of these positions."""
-    global _BLANK_MASK
-    if _BLANK_MASK is None:
-        _BLANK_MASK = LesionMask(np.zeros((THUMB_SIDE, THUMB_SIDE, 3), dtype=np.uint8))
     s1 = width / THUMB_SIDE
     s2 = height / THUMB_SIDE
     refs = []
     for d_k in sorted(scales):
-        for window in scan_grid(_BLANK_MASK, s1, s2, d_k):
+        for window in _tile(THUMB_SIDE, s1, s2, d_k):
             ref = window_to_ref(window, s1, s2, d_k, width, height)
             if ref is not None:
                 refs.append(ref)

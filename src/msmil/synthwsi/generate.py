@@ -257,14 +257,20 @@ def slide_seed(dataset_seed: int, index: int) -> int:
     return Rng(dataset_seed).child(index).u64()
 
 
-def build_dataset(spec: SynthSpec, n_slides: int, seed: int) -> Dataset:
-    """In-memory dataset; labels cycle round-robin so classes stay balanced."""
-    slides = []
+def _generate_slides(spec: SynthSpec, n_slides: int, seed: int):
+    """(ident, label, slide seed, image, mask) per slide; labels cycle
+    round-robin so classes stay balanced."""
     for i in range(n_slides):
         label = i % spec.classes
         s_seed = slide_seed(seed, i)
         image, mask, _ = generate_wsi(spec, label, s_seed)
-        ident = f"slide_{i:04d}"
+        yield f"slide_{i:04d}", label, s_seed, image, mask
+
+
+def build_dataset(spec: SynthSpec, n_slides: int, seed: int) -> Dataset:
+    """In-memory dataset of `_generate_slides`."""
+    slides = []
+    for ident, label, s_seed, image, mask in _generate_slides(spec, n_slides, seed):
         image.ident = ident
         rec = SlideRecord(ident, label, spec.width, spec.height, s_seed)
         rec._image = image
@@ -294,11 +300,7 @@ def write_dataset(root: Path, spec: SynthSpec, n_slides: int, seed: int) -> Data
     root.mkdir(parents=True, exist_ok=True)
     caps = single_scale_caps(spec)
     slides = []
-    for i in range(n_slides):
-        label = i % spec.classes
-        s_seed = slide_seed(seed, i)
-        image, mask, _ = generate_wsi(spec, label, s_seed)
-        ident = f"slide_{i:04d}"
+    for ident, label, s_seed, image, mask in _generate_slides(spec, n_slides, seed):
         sdir = root / ident
         sdir.mkdir(exist_ok=True)
         write_ppm(image.base, sdir / "image.ppm")

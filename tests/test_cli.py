@@ -3,7 +3,7 @@ import pytest
 
 from msmil.cli import main
 from msmil.paramio import read_params
-from msmil.pipeline import build_model
+from msmil.pipeline import FeatureCache, build_model, read_cache, write_cache
 from msmil.synthwsi import read_manifest, read_ppm, write_ppm
 from tests.conftest import tiny_model_config
 
@@ -223,6 +223,33 @@ def test_infer_reports_prediction(cli_dataset, cli_trained, capsys):
     assert "predicted=" in out and "patches=" in out
     probs = [float(tok) for tok in out.split("probs=[")[1].split("]")[0].split()]
     assert abs(sum(probs) - 1.0) < 1e-9
+
+
+def test_infer_empty_params_path_exit_3(cli_dataset, capsys):
+    rc = main(["infer", "--dataset", str(cli_dataset), "--slide", "slide_0002",
+               "--params", "", *TINY_SETS])
+    assert rc == 3
+    assert capsys.readouterr().out == ""
+
+
+def test_infer_cut_params_exit_2(cli_dataset, cli_trained, tmp_path, capsys):
+    cut = tmp_path / "cut.msmp"
+    cut.write_bytes((cli_trained / "params.msmp").read_bytes()[:14])
+    rc = main(["infer", "--dataset", str(cli_dataset), "--slide", "slide_0002",
+               "--params", str(cut), *TINY_SETS])
+    assert rc == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_train_mil_only_nan_cache_exit_4(cli_dataset, cli_trained, tmp_path):
+    cache = read_cache(cli_trained / "features.msml")
+    poisoned = tmp_path / "nan.msml"
+    write_cache(FeatureCache(np.full_like(cache.rows, np.nan), cache.sidecar), poisoned)
+    out = tmp_path / "s2"
+    rc = main(["train", "--dataset", str(cli_dataset), "--out", str(out), "--stage", "mil_only",
+               "--cache", str(poisoned), *TINY_SETS])
+    assert rc == 4
+    assert not (out / "params.msmp").exists()
 
 
 def test_eval_writes_report(cli_dataset, cli_trained, tmp_path, capsys):

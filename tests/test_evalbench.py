@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from msmil.evalbench import (
     auc_macro_ovr,
     binary_auc,
     evaluate,
+    evaluate_strategy,
     format_table,
     graph_size_sweep,
     kfold_run,
@@ -18,7 +21,7 @@ from msmil.evalbench import (
     write_curve,
     write_report,
 )
-from msmil.pipeline import TrainConfig, train_e2e
+from msmil.pipeline import EmptySlideError, TrainConfig, infer_bank, train_e2e
 from tests.conftest import fresh_tiny_model
 
 
@@ -193,6 +196,18 @@ def test_evaluate_confusion_sums(tiny_banks):
 
 
 # ------------------------------------------------------------------- sweep
+
+
+def test_evaluate_shares_the_lesion_fallback_of_inference(tiny_banks):
+    model = fresh_tiny_model()
+    no_lesion = replace(tiny_banks[1], lesion_idx=np.zeros(0, dtype=np.int64))
+    _, probs, counts, _ = evaluate_strategy([no_lesion], model, "lesion")
+    result = infer_bank(no_lesion, model)
+    assert result.fallback and counts == [result.patch_count]
+    np.testing.assert_array_equal(probs[0], result.probabilities)
+    all_background = replace(no_lesion, background=np.ones_like(no_lesion.background))
+    with pytest.raises(EmptySlideError):
+        evaluate_strategy([all_background], model, "lesion")
 
 
 def test_sweep_validates_sizes(tiny_banks):

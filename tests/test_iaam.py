@@ -248,7 +248,7 @@ def test_dmq_single_instance_every_query_gets_the_value_row():
     cfg = IaamConfig(dim=6, rank=2, queries=4, classes=2)
     net, store = build_net(cfg, seed=41)
     x = nc.tensor(nc.Rng(43).normal(6).reshape(1, 6))
-    out = net.dmq_cross_attention(x)
+    out, _ = net.dmq_cross_attention(x)
     value = x.data @ store["mil.dmq.value_proj"].data
     np.testing.assert_allclose(out.data, np.tile(value, (4, 1)), atol=1e-12)
 
@@ -257,7 +257,7 @@ def test_dmq_matches_brute_force():
     cfg = IaamConfig(dim=8, rank=2, queries=5, classes=2)
     net, store = build_net(cfg, seed=47)
     x = nc.Rng(53).normal(6 * 8).reshape(6, 8)
-    out = net.dmq_cross_attention(nc.tensor(x))
+    out, _ = net.dmq_cross_attention(nc.tensor(x))
     expect = brute_dmq(x, store["mil.dmq.queries"].data, store["mil.dmq.query_proj"].data,
                        store["mil.dmq.key_proj"].data, store["mil.dmq.value_proj"].data, 8)
     np.testing.assert_allclose(out.data, expect, atol=1e-12)
@@ -267,8 +267,8 @@ def test_dmq_duplicating_instances_changes_nothing():
     cfg = IaamConfig(dim=8, rank=2, queries=5, classes=2)
     net, _ = build_net(cfg, seed=61)
     x = nc.Rng(59).normal(4 * 8).reshape(4, 8)
-    a = net.dmq_cross_attention(nc.tensor(x)).data
-    b = net.dmq_cross_attention(nc.tensor(np.vstack([x, x]))).data
+    a = net.dmq_cross_attention(nc.tensor(x))[0].data
+    b = net.dmq_cross_attention(nc.tensor(np.vstack([x, x])))[0].data
     np.testing.assert_allclose(a, b, atol=1e-12)
 
 
@@ -279,8 +279,8 @@ def test_dmq_permutation_invariance():
     for _ in range(25):
         x = rng.normal(7 * 8).reshape(7, 8)
         perm = rng.permutation(7)
-        a = net.dmq_cross_attention(nc.tensor(x)).data
-        b = net.dmq_cross_attention(nc.tensor(x[perm])).data
+        a = net.dmq_cross_attention(nc.tensor(x))[0].data
+        b = net.dmq_cross_attention(nc.tensor(x[perm]))[0].data
         assert np.abs(a - b).max() <= 1e-12
 
 
@@ -292,7 +292,7 @@ def test_gated_pool_zero_gate_is_half_sum():
     net, store = build_net(cfg, seed=73)
     store["mil.gate.w"].data[...] = 0.0
     z = nc.Rng(79).normal(5 * 8).reshape(5, 8)
-    out = net.gated_pool(nc.tensor(z))
+    out, _ = net.gated_pool(nc.tensor(z))
     np.testing.assert_allclose(out.data, 0.5 * z.sum(axis=0, keepdims=True), atol=1e-12)
 
 
@@ -302,7 +302,7 @@ def test_gated_pool_equal_rows_scale_by_count():
     row = nc.Rng(89).normal(4).reshape(1, 4)
     z = np.tile(row, (6, 1))
     gate = 1.0 / (1.0 + np.exp(-(row @ store["mil.gate.w"].data + store["mil.gate.b"].data)))
-    out = net.gated_pool(nc.tensor(z))
+    out, _ = net.gated_pool(nc.tensor(z))
     np.testing.assert_allclose(out.data, 6.0 * gate * row, atol=1e-12)
 
 
@@ -310,7 +310,7 @@ def test_gated_pool_matches_brute_force():
     cfg = IaamConfig(dim=8, rank=2, queries=10, classes=2)
     net, store = build_net(cfg, seed=97)
     z = nc.Rng(101).normal(10 * 8).reshape(10, 8)
-    out = net.gated_pool(nc.tensor(z))
+    out, _ = net.gated_pool(nc.tensor(z))
     expect = brute_gated_pool(z, store["mil.gate.w"].data, float(store["mil.gate.b"].data[0, 0]))
     np.testing.assert_allclose(out.data, expect, atol=1e-12)
 
@@ -404,7 +404,41 @@ def test_softmax_rows_sum_to_one_inside_attention():
     cfg = IaamConfig(dim=8, rank=2, queries=4, classes=2)
     net, _ = build_net(cfg, seed=167)
     bag = random_bag(nc.Rng(173), 9, 8)
-    attn = net.dmq_attention_weights(bag)
+    trace = net.trace(bag)
+    attn = trace.attention
     np.testing.assert_allclose(attn.sum(axis=1), np.ones(4), atol=1e-12)
-    gates = net.gate_values(bag)
+    gates = trace.gates
     assert ((gates > 0) & (gates < 1)).all()
+
+
+# ------------------------------------------------------------------- trace
+
+
+def test_trace_logits_equal_forward_logits_bitwise():
+    cfg = IaamConfig(dim=8, rank=2, queries=4, classes=3, layers=2)
+    net, _ = build_net(cfg, seed=179)
+    bag = random_bag(nc.Rng(181), 9, 8)
+    plain = net.forward_logits(bag).data
+    assert np.array_equal(net.trace(bag).logits.data, plain)
+    with nc.record():
+        assert np.array_equal(net.trace(bag).logits.data, plain)
+        assert np.array_equal(net.forward_logits(bag).data, plain)
+
+
+def test_trace_reads_out_the_pass_it_predicts_from():
+    cfg = IaamConfig(dim=8, rank=2, queries=5, classes=2)
+    net, _ = build_net(cfg, seed=191)
+    bag = random_bag(nc.Rng(193), 11, 8)
+    trace = net.trace(bag)
+    assert trace.attention.shape == (5, 11) and trace.gates.shape == (5,)
+    refined, attn = net.dmq_cross_attention(net.mla_layer(net.inject_encodings(trace.bag), 0))
+    _, gates = net.gated_pool(refined)
+    assert np.array_equal(trace.attention, attn.data)
+    assert np.array_equal(trace.gates, gates.data.reshape(-1))
+
+
+def test_trace_bag_is_in_canonical_order():
+    net, _ = build_net(IaamConfig(dim=8, rank=2, queries=3, classes=2), seed=197)
+    bag = random_bag(nc.Rng(199), 12, 8, distinct=False)
+    order = np.lexsort((bag.scale_codes, bag.coords[:, 1], bag.coords[:, 0]))
+    np.testing.assert_array_equal(net.trace(bag).bag.scale_codes, bag.scale_codes[order])

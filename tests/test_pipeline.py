@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from msmil.msfem import EncoderConfig
 from msmil.paramio import ParamFormatError, load_params, read_params, write_params
 from msmil.pipeline import (
     CacheFormatError,
+    DivergenceError,
     EmptySlideError,
     FeatureCache,
     TrainConfig,
@@ -18,6 +21,7 @@ from msmil.pipeline import (
     infer_bank,
     read_cache,
     select_batch,
+    sidecar_path,
     train_e2e,
     train_mil_stage2,
     write_cache,
@@ -309,3 +313,65 @@ def test_params_name_mismatch_rejected(tmp_path):
     )
     with pytest.raises(KeyError):
         load_params(other.store, path)
+
+
+# ---------------------------------------------------------- numeric failure
+
+
+def test_e2e_nan_patches_raise_before_the_update(tiny_banks):
+    poisoned = replace(tiny_banks[0], patches=np.full_like(tiny_banks[0].patches, np.nan))
+    model = fresh_tiny_model()
+    before = model.store.content_hash()
+    with pytest.raises(DivergenceError) as err:
+        train_e2e([poisoned], model, TrainConfig(epochs=1, instances_per_graph=6))
+    assert err.value.step == 0
+    assert model.store.content_hash() == before
+
+
+def test_stage2_nan_cache_rows_raise_before_the_update(tiny_banks):
+    model = fresh_tiny_model()
+    cache, labels, dims = stage2_inputs(tiny_banks, model)
+    poisoned = FeatureCache(np.full_like(cache.rows, np.nan), cache.sidecar)
+    before = model.store.content_hash()
+    with pytest.raises(DivergenceError) as err:
+        train_mil_stage2(poisoned, labels, model, TrainConfig(epochs=1, stage="mil_only"), dims)
+    assert err.value.step == 0
+    assert model.store.content_hash() == before
+
+
+# -------------------------------------------------------- cut binary files
+
+
+CUTS = {
+    "header": lambda raw: raw[:14],
+    "body": lambda raw: raw[:-8],
+    "trailing": lambda raw: raw + bytes(8),
+}
+
+
+@pytest.mark.parametrize("cut", sorted(CUTS))
+def test_params_cut_or_padded_is_format_error(tmp_path, cut):
+    path = tmp_path / "p.msmp"
+    write_params(fresh_tiny_model().store, path)
+    path.write_bytes(CUTS[cut](path.read_bytes()))
+    with pytest.raises(ParamFormatError):
+        read_params(path)
+
+
+@pytest.mark.parametrize("cut", sorted(CUTS))
+def test_cache_cut_or_padded_is_format_error(tmp_path, tiny_banks, cut):
+    path = tmp_path / "f.msml"
+    write_cache(cache_features(tiny_banks[:1], fresh_tiny_model()), path)
+    path.write_bytes(CUTS[cut](path.read_bytes()))
+    with pytest.raises(CacheFormatError):
+        read_cache(path)
+
+
+def test_cache_short_sidecar_line_is_format_error(tmp_path, tiny_banks):
+    path = tmp_path / "f.msml"
+    write_cache(cache_features(tiny_banks[:1], fresh_tiny_model()), path)
+    lines = sidecar_path(path).read_text().splitlines()
+    lines[0] = " ".join(lines[0].split()[:4])
+    sidecar_path(path).write_text("\n".join(lines) + "\n")
+    with pytest.raises(CacheFormatError):
+        read_cache(path)
