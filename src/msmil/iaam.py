@@ -154,7 +154,7 @@ class IaamNet:
             bag.coords[:, 1] / bag.height,
             bag.scale_codes.astype(np.float64),
         ], axis=1)
-        fc = nc.add(nc.matmul(nc.tensor(pos), self._p("fc_pos.w")), self._p("fc_pos.b"))
+        fc = nc.linear(nc.tensor(pos), self._p("fc_pos.w"), self._p("fc_pos.b"))
         index_enc = nc.tensor(sinusoid_table(bag.size, self.cfg.dim))
         return nc.add(nc.add(bag.features, fc), index_enc)
 
@@ -174,8 +174,8 @@ class IaamNet:
         if cfg.heads > 1:
             ctx = nc.matmul(ctx, self._p(f"{base}.merge"))
         normed = nc.layer_norm(ctx, self._p(f"{base}.ln.g"), self._p(f"{base}.ln.b"))
-        hidden = nc.silu(nc.add(nc.matmul(normed, self._p(f"{base}.mlp1.w")), self._p(f"{base}.mlp1.b")))
-        out = nc.add(nc.matmul(hidden, self._p(f"{base}.mlp2.w")), self._p(f"{base}.mlp2.b"))
+        hidden = nc.silu(nc.linear(normed, self._p(f"{base}.mlp1.w"), self._p(f"{base}.mlp1.b")))
+        out = nc.linear(hidden, self._p(f"{base}.mlp2.w"), self._p(f"{base}.mlp2.b"))
         return nc.add(out, x) if cfg.residual else out
 
     def dmq_cross_attention(self, encoded: nc.Tensor) -> tuple[nc.Tensor, nc.Tensor]:
@@ -188,11 +188,11 @@ class IaamNet:
 
     def gated_pool(self, refined: nc.Tensor) -> tuple[nc.Tensor, nc.Tensor]:
         """Gate-weighted sum of the refined rows (1, dim) and the gates (queries, 1)."""
-        gates = nc.sigmoid(nc.add(nc.matmul(refined, self._p("gate.w")), self._p("gate.b")))
+        gates = nc.sigmoid(nc.linear(refined, self._p("gate.w"), self._p("gate.b")))
         return nc.matmul(nc.transpose(gates), refined), gates
 
     def logits(self, bag_feature: nc.Tensor) -> nc.Tensor:
-        return nc.add(nc.matmul(bag_feature, self._p("head.w")), self._p("head.b"))
+        return nc.linear(bag_feature, self._p("head.w"), self._p("head.b"))
 
     def classify(self, bag_feature: nc.Tensor) -> nc.Tensor:
         return nc.softmax_rows(self.logits(bag_feature))

@@ -151,7 +151,7 @@ class PatchEncoder:
         side = self.cfg.input_side
         for i in range(len(self.cfg.widths)):
             cols = nc.conv_unfold(x, batch, side, CONV_KERNEL, CONV_STRIDE, CONV_PAD)
-            pre = nc.add(nc.matmul(cols, self._p(f"conv{i}.w")), self._p(f"conv{i}.b"))
+            pre = nc.linear(cols, self._p(f"conv{i}.w"), self._p(f"conv{i}.b"))
             x = nc.silu(nc.layer_norm(pre, self._p(f"conv{i}.ln.g"), self._p(f"conv{i}.ln.b")))
             side = (side + 2 * CONV_PAD - CONV_KERNEL) // CONV_STRIDE + 1
         return x
@@ -161,16 +161,12 @@ class PatchEncoder:
         base = f"layer{layer}"
         normed = nc.layer_norm(x, self._p(f"{base}.ln1.g"), self._p(f"{base}.ln1.b"))
         qkv = nc.matmul(normed, self._p(f"{base}.qkv.w"))
-        c = cfg.feature_channels
-        q = nc.slice_cols(qkv, 0, c)
-        k = nc.slice_cols(qkv, c, 2 * c)
-        v = nc.slice_cols(qkv, 2 * c, 3 * c)
-        ctx = nc.block_self_attention(q, k, v, cfg.seq_len, cfg.heads)
-        attn = nc.add(nc.matmul(ctx, self._p(f"{base}.attn_out.w")), self._p(f"{base}.attn_out.b"))
+        ctx = nc.block_self_attention(qkv, cfg.seq_len, cfg.heads)
+        attn = nc.linear(ctx, self._p(f"{base}.attn_out.w"), self._p(f"{base}.attn_out.b"))
         x = nc.add(x, attn)
         normed = nc.layer_norm(x, self._p(f"{base}.ln2.g"), self._p(f"{base}.ln2.b"))
-        hidden = nc.silu(nc.add(nc.matmul(normed, self._p(f"{base}.mlp1.w")), self._p(f"{base}.mlp1.b")))
-        mlp = nc.add(nc.matmul(hidden, self._p(f"{base}.mlp2.w")), self._p(f"{base}.mlp2.b"))
+        hidden = nc.silu(nc.linear(normed, self._p(f"{base}.mlp1.w"), self._p(f"{base}.mlp1.b")))
+        mlp = nc.linear(hidden, self._p(f"{base}.mlp2.w"), self._p(f"{base}.mlp2.b"))
         return nc.add(x, mlp)
 
     def summarize(self, tokens: nc.Tensor, batch: int) -> nc.Tensor:
@@ -189,7 +185,7 @@ class PatchEncoder:
             x = self._encoder_block(x, layer, batch)
         cls_rows = nc.gather_rows(x, np.arange(batch) * cfg.seq_len)
         normed = nc.layer_norm(cls_rows, self._p("final_ln.g"), self._p("final_ln.b"))
-        return nc.add(nc.matmul(normed, self._p("proj.w")), self._p("proj.b"))
+        return nc.linear(normed, self._p("proj.w"), self._p("proj.b"))
 
     # ------------------------------------------------------------ surface
 

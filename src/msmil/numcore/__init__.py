@@ -12,6 +12,7 @@ from .engine import (
     cross_entropy,
     gather_rows,
     layer_norm,
+    linear,
     matmul,
     mul,
     param,
@@ -34,7 +35,7 @@ from .rng import Rng
 __all__ = [
     "EngineError", "Graph", "LabelError", "ShapeError", "Tensor",
     "add", "block_self_attention", "concat_cols", "concat_rows", "conv_unfold",
-    "cross_entropy", "gather_rows", "layer_norm", "matmul", "mul", "param",
+    "cross_entropy", "gather_rows", "layer_norm", "linear", "matmul", "mul", "param",
     "record", "reshape", "scale", "sigmoid", "silu",
     "slice_cols", "slice_rows", "softmax_rows", "sum_all", "tensor",
     "transpose", "DeterminismError", "finite_diff_check",

@@ -5,6 +5,16 @@ the operations the slide-classification pipeline composes. A forward pass
 either records onto an explicit tape (training) or does not (inference);
 the two modes produce bitwise-identical values.
 
+The tape is one-shot. `Graph.backward` visits each node once, in reverse:
+it runs the node's vjp, then drops the node's output gradient and the vjp
+closure (with the temporaries it saved), so a backward pass holds only the
+gradients still waiting for a consumer. A second backward on the same tape
+is an EngineError. The first gradient a tensor receives is assigned, not
+copied into a fresh buffer, and later ones are added out of place. So a vjp
+never writes into its upstream gradient `g`, and may return `g` itself or a
+view of it; a leaf's `.grad` may share memory with another gradient and is
+read-only by the same rule.
+
 Gradient rules are verified against central finite differences by
 `gradcheck.finite_diff_check`; keep any new op covered there.
 """
@@ -79,23 +89,26 @@ class Graph:
 
     def __init__(self):
         self.nodes: list[_Node] = []
+        self.spent = False
 
     def backward(self, loss: Tensor) -> None:
-        """Accumulate gradients of `loss` into every recorded requires_grad tensor."""
+        """Gradients of `loss` into every recorded requires_grad tensor; only
+        leaves keep theirs."""
         if loss.data.size != 1:
             raise ShapeError(f"backward needs a scalar loss, got shape {loss.data.shape}")
+        if self.spent:
+            raise EngineError("backward already ran on this tape; record the forward again")
+        self.spent = True
         loss.grad = np.ones_like(loss.data)
         for node in reversed(self.nodes):
             out_grad = node.out.grad
+            vjp, node.vjp = node.vjp, None
             if out_grad is None:
                 continue
-            grads = node.vjp(out_grad)
-            for t, g in zip(node.inputs, grads):
-                if g is None:
-                    continue
-                if t.grad is None:
-                    t.grad = np.zeros_like(t.data)
-                t.grad += g
+            node.out.grad = None
+            for t, g in zip(node.inputs, vjp(out_grad)):
+                if g is not None:
+                    t.grad = g if t.grad is None else t.grad + g
 
 
 _active: list[Graph] = []
@@ -134,6 +147,26 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         )
 
     _emit(out, (a, b), vjp)
+    return out
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """x @ w + b as one node, with `b` a (1, n) row broadcast over the rows."""
+    xd, wd, bd = x.data, w.data, b.data
+    if xd.ndim != 2 or wd.ndim != 2 or xd.shape[1] != wd.shape[0] or bd.shape != (1, wd.shape[1]):
+        raise ShapeError(f"linear shape mismatch: {xd.shape} x {wd.shape} + {bd.shape}")
+    y = xd @ wd
+    y += bd
+    out = Tensor(y)
+
+    def vjp(g):
+        return (
+            g @ wd.T if x.requires_grad else None,
+            xd.T @ g if w.requires_grad else None,
+            g.sum(axis=0, keepdims=True) if b.requires_grad else None,
+        )
+
+    _emit(out, (x, w, b), vjp)
     return out
 
 
@@ -186,8 +219,16 @@ def sum_all(a: Tensor) -> Tensor:
 # ------------------------------------------------------------ nonlinearities
 
 
+def _logistic(x: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-x)) in one buffer."""
+    s = np.negative(x)
+    np.exp(s, out=s)
+    s += 1.0
+    return np.divide(1.0, s, out=s)
+
+
 def sigmoid(a: Tensor) -> Tensor:
-    s = 1.0 / (1.0 + np.exp(-a.data))
+    s = _logistic(a.data)
     out = Tensor(s)
     _emit(out, (a,), lambda g: (g * s * (1.0 - s),))
     return out
@@ -195,22 +236,37 @@ def sigmoid(a: Tensor) -> Tensor:
 
 def silu(a: Tensor) -> Tensor:
     """x * sigmoid(x); smooth everywhere, which keeps finite-difference checks clean."""
-    s = 1.0 / (1.0 + np.exp(-a.data))
-    out = Tensor(a.data * s)
-    _emit(out, (a,), lambda g: (g * s * (1.0 + a.data * (1.0 - s)),))
+    y = _logistic(a.data)
+    y *= a.data
+    out = Tensor(y)
+
+    def vjp(g):
+        # the sigmoid is recomputed from the kept input, not held on the tape
+        s = _logistic(a.data)
+        ga = g * s
+        np.subtract(1.0, s, out=s)      # 1 + x * (1 - s)
+        s *= a.data
+        s += 1.0
+        ga *= s
+        return (ga,)
+
+    _emit(out, (a,), vjp)
     return out
 
 
 def softmax_rows(a: Tensor) -> Tensor:
     """Row softmax with per-row max subtraction."""
-    z = a.data - a.data.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    y = e / e.sum(axis=-1, keepdims=True)
+    y = a.data - a.data.max(axis=-1, keepdims=True)
+    np.exp(y, out=y)
+    y /= y.sum(axis=-1, keepdims=True)
     out = Tensor(y)
 
     def vjp(g):
-        dot = (g * y).sum(axis=-1, keepdims=True)
-        return ((g - dot) * y,)
+        ga = g * y
+        dot = ga.sum(axis=-1, keepdims=True)
+        np.subtract(g, dot, out=ga)
+        ga *= y
+        return (ga,)
 
     _emit(out, (a,), vjp)
     return out
@@ -224,20 +280,35 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         raise ShapeError(f"layer_norm needs >= 2 columns, got row length {cols}")
     if eps <= 0:
         raise ValueError("layer_norm eps must be positive")
-    mean = ad.mean(axis=-1, keepdims=True)
-    var = ad.var(axis=-1, keepdims=True)
+    # the steps of ad.mean and ad.var, then the affine in place; xhat is
+    # recomputed in the vjp from the kept input instead of held on the tape
+    mean = ad.sum(axis=-1, keepdims=True)
+    mean /= cols
+    y = ad - mean
+    var = np.multiply(y, y).sum(axis=-1, keepdims=True)
+    var /= cols
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (ad - mean) * inv
-    out = Tensor(xhat * gain.data + bias.data)
+    y *= inv
+    y *= gain.data
+    y += bias.data
+    out = Tensor(y)
 
     def vjp(g):
+        # inv * (gy - mean(gy) - xhat * mean(gy * xhat)) with gy = g * gain
+        xhat = ad - mean
+        xhat *= inv
+        tmp = g * xhat
+        ggain = tmp.sum(axis=0, keepdims=True).reshape(gain.data.shape) if gain.requires_grad else None
+        gbias = g.sum(axis=0, keepdims=True).reshape(bias.data.shape) if bias.requires_grad else None
         ga = None
         if a.requires_grad:
-            gy = g * gain.data
-            ga = inv * (gy - gy.mean(axis=-1, keepdims=True)
-                        - xhat * (gy * xhat).mean(axis=-1, keepdims=True))
-        ggain = (g * xhat).sum(axis=0, keepdims=True).reshape(gain.data.shape) if gain.requires_grad else None
-        gbias = g.sum(axis=0, keepdims=True).reshape(bias.data.shape) if bias.requires_grad else None
+            ga = g * gain.data
+            np.multiply(ga, xhat, out=tmp)
+            proj = tmp.mean(axis=-1, keepdims=True)
+            ga -= ga.mean(axis=-1, keepdims=True)
+            np.multiply(xhat, proj, out=tmp)
+            ga -= tmp
+            ga *= inv
         return (ga, ggain, gbias)
 
     _emit(out, (a, gain, bias), vjp)
@@ -381,25 +452,39 @@ def conv_unfold(a: Tensor, batch: int, side: int, k: int, stride: int, pad: int)
     out = Tensor(np.ascontiguousarray(cols))
 
     def vjp(g):
+        # scatter straight into the unpadded map: taps on the padding are
+        # dropped, the rest add in the same (ky, kx) order. Per kernel offset
+        # d: the output positions whose tap lands inside the map, and the
+        # input positions they read.
+        taps = []
+        for d in range(k):
+            lo = max(0, -(-(pad - d) // stride))
+            hi = max(lo, min(out_side, (side - 1 + pad - d) // stride + 1))
+            first = d + stride * lo - pad
+            taps.append((d, slice(lo, hi), slice(first, first + stride * (hi - lo), stride)))
         gr = g.reshape(batch, out_side, out_side, k, k, ch)
-        gp = np.zeros((batch, side + 2 * pad, side + 2 * pad, ch))
-        for ky in range(k):
-            for kx in range(k):
-                gp[:, ky:ky + stride * out_side:stride, kx:kx + stride * out_side:stride] += gr[:, :, :, ky, kx]
-        ga = gp[:, pad:pad + side, pad:pad + side] if pad else gp
+        ga = np.zeros((batch, side, side, ch))
+        for ky, oy, iy in taps:
+            for kx, ox, ix in taps:
+                ga[:, iy, ix] += gr[:, oy, ox, ky, kx]
         return (ga.reshape(batch * side * side, ch),)
 
     _emit(out, (a,), vjp)
     return out
 
 
-def block_self_attention(q: Tensor, k: Tensor, v: Tensor, seq_len: int, n_heads: int) -> Tensor:
+def block_self_attention(qkv: Tensor, seq_len: int, n_heads: int) -> Tensor:
     """Multi-head scaled dot-product attention over a batch of equal-length sequences.
 
-    Inputs are (batch*seq_len, dim) with dim divisible by n_heads; attention is
-    computed independently per sequence and per head, scaled by 1/sqrt(head_dim).
+    `qkv` is (batch*seq_len, 3*dim): queries, keys and values side by side,
+    with dim divisible by n_heads. Attention is computed independently per
+    sequence and per head, scaled by 1/sqrt(head_dim); the output is
+    (batch*seq_len, dim) and the gradient one (batch*seq_len, 3*dim) array.
     """
-    rows, dim = q.data.shape
+    rows, width = qkv.data.shape
+    if width % 3:
+        raise ShapeError(f"qkv width {width} is not 3 * dim")
+    dim = width // 3
     if rows % seq_len:
         raise ShapeError(f"rows {rows} not a multiple of seq_len {seq_len}")
     if dim % n_heads:
@@ -408,10 +493,11 @@ def block_self_attention(q: Tensor, k: Tensor, v: Tensor, seq_len: int, n_heads:
     hd = dim // n_heads
     inv = 1.0 / np.sqrt(hd)
 
-    def split(t):
-        return t.reshape(batch, seq_len, n_heads, hd).transpose(0, 2, 1, 3)
+    def split(i):
+        part = np.ascontiguousarray(qkv.data[:, i * dim:(i + 1) * dim])
+        return part.reshape(batch, seq_len, n_heads, hd).transpose(0, 2, 1, 3)
 
-    qh, kh, vh = split(q.data), split(k.data), split(v.data)
+    qh, kh, vh = split(0), split(1), split(2)
     scores = np.einsum("bhid,bhjd->bhij", qh, kh) * inv
     scores -= scores.max(axis=-1, keepdims=True)
     e = np.exp(scores)
@@ -426,15 +512,10 @@ def block_self_attention(q: Tensor, k: Tensor, v: Tensor, seq_len: int, n_heads:
         gscores = attn * (gattn - (gattn * attn).sum(axis=-1, keepdims=True))
         gq = np.einsum("bhij,bhjd->bhid", gscores, kh) * inv
         gk = np.einsum("bhij,bhid->bhjd", gscores, qh) * inv
+        gqkv = np.empty((batch, seq_len, 3, n_heads, hd))
+        for i, part in enumerate((gq, gk, gv)):
+            gqkv[:, :, i] = part.transpose(0, 2, 1, 3)
+        return (gqkv.reshape(rows, width),)
 
-        def merge(t):
-            return np.ascontiguousarray(t.transpose(0, 2, 1, 3).reshape(rows, dim))
-
-        return (
-            merge(gq) if q.requires_grad else None,
-            merge(gk) if k.requires_grad else None,
-            merge(gv) if v.requires_grad else None,
-        )
-
-    _emit(out, (q, k, v), vjp)
+    _emit(out, (qkv,), vjp)
     return out

@@ -6,8 +6,9 @@ reach both parameter groups (the end-to-end coupling this build exists to
 demonstrate). Stage two freezes the encoder by construction: it trains the
 attention network on cached feature files in which patches are constants.
 Both stages run the same epoch schedule (`_Epochs`): slide order, batch
-streams, divergence check and manifest entries. A non-finite loss stops
-training before it reaches the parameters.
+streams, divergence check and manifest entries. A non-finite loss, or a
+finite loss with a non-finite gradient, stops training before it reaches
+the parameters.
 
 Per-slide crops are resized once into an in-memory bank; crops are pure
 functions of the slide, so the cache changes nothing observable.
@@ -46,8 +47,8 @@ class EmptySlideError(Exception):
 
 
 class DivergenceError(Exception):
-    def __init__(self, step: int, loss: float):
-        super().__init__(f"non-finite loss {loss!r} at step {step}")
+    def __init__(self, step: int, what: str):
+        super().__init__(f"{what} at step {step}")
         self.step = step
 
 
@@ -237,14 +238,15 @@ class _Epochs:
     runs the step in its own loop body and reports (loss, predicted label)
     through `done` before taking the next one: that keeps each step's tape
     alive until the next step's record replaces it, as one loop would. A
-    non-finite loss raises DivergenceError, with `diverged_at_step` in the
-    manifest.
+    non-finite loss or gradient of `params` raises DivergenceError, with
+    `diverged_at_step` in the manifest.
     """
 
-    def __init__(self, stage: str, labels: list[int], cfg: TrainConfig):
+    def __init__(self, stage: str, labels: list[int], cfg: TrainConfig, params: list[nc.Tensor]):
         self.t0 = time.perf_counter()
         self.labels = labels
         self.cfg = cfg
+        self.params = params
         self.manifest: dict = {"stage": stage, "slides": len(labels)}
         self.manifest.update(config_echo(cfg))
         self.result: tuple[float, int] | None = None
@@ -263,9 +265,10 @@ class _Epochs:
                 self.result = None
                 yield pos, batch_rng
                 loss, pred = self.result
-                if not np.isfinite(loss):
+                what = _non_finite(loss, self.params)
+                if what:
                     self.manifest["diverged_at_step"] = step
-                    raise DivergenceError(step, loss)
+                    raise DivergenceError(step, what)
                 losses.append(loss)
                 hits += int(pred == self.labels[pos])
                 step += 1
@@ -275,14 +278,26 @@ class _Epochs:
         self.manifest["wall_clock_s"] = f"{time.perf_counter() - self.t0:.3f}"
 
 
+def _non_finite(loss: float, params: list[nc.Tensor]) -> str | None:
+    """What makes a step diverge: a non-finite loss, else the first parameter
+    with a non-finite gradient; None when both are finite."""
+    if not np.isfinite(loss):
+        return f"non-finite loss {loss!r}"
+    for p in params:
+        if p.grad is not None and not np.isfinite(p.grad).all():
+            return f"non-finite gradient of {p.name}"
+    return None
+
+
 def _update(graph: nc.Graph, loss: nc.Tensor, opt: nc.GradAccumSgd) -> None:
-    """Backward and optimizer update, skipped for a non-finite loss so that
-    it never reaches the parameters."""
+    """Backward and optimizer update. A non-finite loss skips both and a
+    non-finite gradient skips the update, so neither reaches the parameters."""
     if np.isfinite(loss.item()):
         graph.backward(loss)
-        opt.accumulate()
-        if opt.ready:
-            opt.step()
+        if _non_finite(loss.item(), opt.params) is None:
+            opt.accumulate()
+            if opt.ready:
+                opt.step()
 
 
 def e2e_train_step(bank: SlideBank, model: Model, opt: nc.GradAccumSgd,
@@ -303,8 +318,8 @@ def e2e_train_step(bank: SlideBank, model: Model, opt: nc.GradAccumSgd,
 
 def train_e2e(banks: list[SlideBank], model: Model, cfg: TrainConfig) -> dict:
     """Joint training over epochs x slides (one slide bag per step)."""
-    epochs = _Epochs("e2e", [b.label for b in banks], cfg)
     opt = nc.GradAccumSgd(model.store.tensors(), lr=cfg.lr, accum_steps=cfg.accum_steps)
+    epochs = _Epochs("e2e", [b.label for b in banks], cfg, opt.params)
     for pos, rng in epochs:
         epochs.done(*e2e_train_step(banks[pos], model, opt, cfg, rng))
     return epochs.manifest
@@ -428,8 +443,8 @@ def train_mil_stage2(cache: FeatureCache, labels: dict[str, int], model: Model,
         raise CacheFormatError("empty feature cache")
     groups = cache.by_slide()
     idents = sorted(groups)
-    epochs = _Epochs("mil_only", [labels[ident] for ident in idents], cfg)
     opt = nc.GradAccumSgd(model.mil_params(), lr=cfg.lr, accum_steps=cfg.accum_steps)
+    epochs = _Epochs("mil_only", [labels[ident] for ident in idents], cfg, opt.params)
     # the step stays inline: its locals live until the next step replaces
     # them, so the freed tape is reused instead of handed back to the OS
     for pos, _ in epochs:

@@ -53,10 +53,12 @@ def read_ppm(path) -> np.ndarray:
         raise PpmError("missing whitespace after maxval", pos)
     pos += 1
     need = width * height * 3
-    data = buf[pos:pos + need]
-    if len(data) < need:
-        raise PpmError(f"truncated raster: need {need} bytes, have {len(data)}", pos + len(data))
-    return np.frombuffer(data, dtype=np.uint8).reshape(height, width, 3).copy()
+    have = len(buf) - pos
+    if have < need:
+        raise PpmError(f"truncated raster: need {need} bytes, have {have}", len(buf))
+    if have > need:
+        raise PpmError(f"{have - need} trailing bytes after the raster", pos + need)
+    return np.frombuffer(buf, dtype=np.uint8, offset=pos).reshape(height, width, 3).copy()
 
 
 def write_ppm(raster: np.ndarray, path) -> None:

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+import msmil.numcore as nc
 from msmil.iaam import IaamConfig
 from msmil.msfem import EncoderConfig
+from msmil.numcore.engine import _emit
 from msmil.pipeline import build_banks, build_model
 from msmil.sffm import OracleMaskProvider
 from msmil.synthwsi import SynthSpec, build_dataset, generate_wsi
@@ -63,3 +65,18 @@ def blank_image_4096():
     from msmil.synthwsi import PyramidImage
 
     return PyramidImage(np.full((4096, 4096, 3), 180, dtype=np.uint8), ident="blank")
+
+
+def _inf_gradient(t):
+    """Identity in the forward pass, inf in the backward: a finite loss
+    whose gradient is not."""
+    out = nc.Tensor(t.data.copy())
+    _emit(out, (t,), lambda g: (np.full_like(t.data, np.inf),))
+    return out
+
+
+@pytest.fixture
+def inf_gradient_loss(monkeypatch):
+    """Training losses come out finite, their gradients do not."""
+    cross_entropy = nc.cross_entropy
+    monkeypatch.setattr(nc, "cross_entropy", lambda logits, label: cross_entropy(_inf_gradient(logits), label))

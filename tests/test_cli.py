@@ -252,6 +252,26 @@ def test_train_mil_only_nan_cache_exit_4(cli_dataset, cli_trained, tmp_path):
     assert not (out / "params.msmp").exists()
 
 
+def test_train_inf_gradient_exit_4(cli_dataset, cli_trained, tmp_path, inf_gradient_loss):
+    out = tmp_path / "s2"
+    rc = main(["train", "--dataset", str(cli_dataset), "--out", str(out), "--stage", "mil_only",
+               "--cache", str(cli_trained / "features.msml"), *TINY_SETS])
+    assert rc == 4
+    assert not (out / "params.msmp").exists()
+
+
+def test_infer_ppm_with_trailing_bytes_exit_2(cli_trained, tmp_path, capsys):
+    root = tmp_path / "ds"
+    assert main(["generate", "--out", str(root), "--slides", "1", "--classes", "4", "--seed", "3"]) == 0
+    image = root / "slide_0000" / "image.ppm"
+    image.write_bytes(image.read_bytes() + b"\n")
+    capsys.readouterr()
+    rc = main(["infer", "--dataset", str(root), "--slide", "slide_0000",
+               "--params", str(cli_trained / "params.msmp"), *TINY_SETS])
+    assert rc == 2
+    assert "trailing bytes" in capsys.readouterr().err
+
+
 def test_eval_writes_report(cli_dataset, cli_trained, tmp_path, capsys):
     report = tmp_path / "report_eval.txt"
     rc = main(["eval", "--dataset", str(cli_dataset),

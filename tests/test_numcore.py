@@ -289,7 +289,7 @@ def test_block_attention_finite_diff():
     q = nc.param(_rand(rng, 2 * 3, 4) * 0.5)
     k = nc.param(_rand(rng, 2 * 3, 4) * 0.5)
     v = nc.param(_rand(rng, 2 * 3, 4) * 0.5)
-    f = lambda: nc.sum_all(nc.silu(nc.block_self_attention(q, k, v, 3, 2)))
+    f = lambda: nc.sum_all(nc.silu(nc.block_self_attention(nc.concat_cols([q, k, v]), 3, 2)))
     assert nc.finite_diff_check(f, [q, k, v]) < 1e-4
 
 
@@ -299,7 +299,7 @@ def test_block_attention_matches_loop_of_plain_ops():
     q = nc.tensor(_rand(rng, batch * seq, dim))
     k = nc.tensor(_rand(rng, batch * seq, dim))
     v = nc.tensor(_rand(rng, batch * seq, dim))
-    fused = nc.block_self_attention(q, k, v, seq, heads).data
+    fused = nc.block_self_attention(nc.concat_cols([q, k, v]), seq, heads).data
     hd = dim // heads
     for b in range(batch):
         for h in range(heads):
@@ -354,3 +354,164 @@ def test_constant_branches_are_not_recorded():
     with nc.record() as g:
         nc.matmul(x, x)
     assert len(g.nodes) == 0
+
+
+# ------------------------------------------------------------ fused ops
+
+
+def test_linear_matches_matmul_plus_bias_bitwise():
+    rng = Rng(707)
+    x = nc.param(_rand(rng, 5, 4))
+    w = nc.param(_rand(rng, 4, 3))
+    b = nc.param(_rand(rng, 1, 3))
+    c = nc.tensor(_rand(rng, 5, 3))
+    fused = backward_of(lambda: nc.sum_all(nc.mul(nc.silu(nc.linear(x, w, b)), c)), x, w, b)
+    grads = [t.grad.copy() for t in (x, w, b)]
+    plain = backward_of(lambda: nc.sum_all(nc.mul(nc.silu(nc.add(nc.matmul(x, w), b)), c)), x, w, b)
+    assert fused.item() == plain.item()
+    for got, t in zip(grads, (x, w, b)):
+        np.testing.assert_array_equal(got, t.grad)
+
+
+def test_linear_shape_error_names_all_shapes():
+    with pytest.raises(nc.ShapeError) as e:
+        nc.linear(nc.tensor(np.zeros((2, 3))), nc.tensor(np.zeros((3, 4))), nc.tensor(np.zeros((1, 5))))
+    assert "(2, 3)" in str(e.value) and "(3, 4)" in str(e.value) and "(1, 5)" in str(e.value)
+
+
+def test_linear_finite_diff():
+    rng = Rng(808)
+    x = nc.param(_rand(rng, 4, 3))
+    w = nc.param(_rand(rng, 3, 2))
+    b = nc.param(_rand(rng, 1, 2))
+    f = lambda: nc.sum_all(nc.silu(nc.linear(x, w, b)))
+    assert nc.finite_diff_check(f, [x, w, b]) < 1e-4
+
+
+def test_packed_qkv_attention_finite_diff():
+    rng = Rng(909)
+    qkv = nc.param(_rand(rng, 2 * 3, 3 * 4) * 0.5)
+    f = lambda: nc.sum_all(nc.silu(nc.block_self_attention(qkv, 3, 2)))
+    assert nc.finite_diff_check(f, [qkv]) < 1e-4
+
+
+def test_packed_qkv_width_must_be_three_dims():
+    with pytest.raises(nc.ShapeError):
+        nc.block_self_attention(nc.tensor(np.zeros((6, 8))), 3, 2)
+
+
+# ------------------------------------------------------------ vjp contract
+
+
+def _contract_cases(rng):
+    """Every exported op, on small random inputs: (inputs, op over them)."""
+    a, c = _rand(rng, 4, 3), _rand(rng, 4, 3)
+    row, w = _rand(rng, 1, 3), _rand(rng, 3, 2)
+    return {
+        "add": ([a, row], lambda x, r: nc.add(x, r)),
+        "block_self_attention": ([_rand(rng, 6, 12)], lambda t: nc.block_self_attention(t, 3, 2)),
+        "concat_cols": ([a, c], lambda x, y: nc.concat_cols([x, y])),
+        "concat_rows": ([a, c], lambda x, y: nc.concat_rows([x, y])),
+        "conv_unfold": ([_rand(rng, 2 * 4 * 4, 2)], lambda x: nc.conv_unfold(x, 2, 4, 3, 2, 1)),
+        "cross_entropy": ([_rand(rng, 1, 3)], lambda x: nc.cross_entropy(x, 1)),
+        "gather_rows": ([a], lambda x: nc.gather_rows(x, [0, -1, 3, 0])),
+        "layer_norm": ([a, row + 1.0, row], lambda x, g, b: nc.layer_norm(x, g, b)),
+        "linear": ([a, w, _rand(rng, 1, 2)], lambda x, m, b: nc.linear(x, m, b)),
+        "matmul": ([a, w], lambda x, m: nc.matmul(x, m)),
+        "mul": ([a, c], lambda x, y: nc.mul(x, y)),
+        "reshape": ([a], lambda x: nc.reshape(x, (3, 4))),
+        "scale": ([a], lambda x: nc.scale(x, 0.5)),
+        "sigmoid": ([a], lambda x: nc.sigmoid(x)),
+        "silu": ([a], lambda x: nc.silu(x)),
+        "slice_cols": ([a], lambda x: nc.slice_cols(x, 1, 3)),
+        "slice_rows": ([a], lambda x: nc.slice_rows(x, 1, 3)),
+        "softmax_rows": ([a], lambda x: nc.softmax_rows(x)),
+        "sum_all": ([a], lambda x: nc.sum_all(x)),
+        "transpose": ([a], lambda x: nc.transpose(x)),
+    }
+
+
+def test_vjp_contract_covers_every_exported_op():
+    ops = {name for name in nc.__all__
+           if getattr(getattr(nc, name), "__module__", None) == "msmil.numcore.engine"
+           and callable(getattr(nc, name)) and not isinstance(getattr(nc, name), type)}
+    assert set(_contract_cases(Rng(0))) == ops - {"param", "tensor", "record"}
+
+
+@pytest.mark.parametrize("op", sorted(_contract_cases(Rng(0))))
+def test_vjp_never_writes_into_its_upstream_gradient(op):
+    rng = Rng(1001)
+    data, fn = _contract_cases(rng)[op]
+    inputs = [nc.param(d) for d in data]
+    with nc.record() as graph:
+        out = fn(*inputs)
+    g = _rand(rng, *out.shape)
+    kept = g.copy()
+    g.setflags(write=False)
+    grads = graph.nodes[-1].vjp(g)  # a write raises "assignment destination is read-only"
+    np.testing.assert_array_equal(g, kept)
+    for t, ga in zip(inputs, grads):
+        assert ga is not None and ga.shape == t.shape
+
+
+# ------------------------------------------------------- one-pass backward
+
+
+def test_fan_in_gradients_are_exact():
+    rng = Rng(1111)
+    w = nc.tensor(_rand(rng, 2, 3))
+    x = nc.param(_rand(rng, 2, 3))
+    backward_of(lambda: nc.sum_all(nc.mul(nc.add(x, x), w)), x)
+    np.testing.assert_array_equal(x.grad, 2 * w.data)
+    backward_of(lambda: nc.sum_all(nc.mul(nc.add(nc.add(x, x), x), w)), x)
+    np.testing.assert_array_equal(x.grad, 3 * w.data)
+
+
+def test_backward_keeps_leaf_gradients_and_the_tape_but_frees_the_rest():
+    rng = Rng(1212)
+    x = nc.tensor(_rand(rng, 4, 3))
+    w = nc.param(_rand(rng, 3, 3))
+    b = nc.param(_rand(rng, 1, 3))
+    with nc.record() as graph:
+        h = nc.silu(nc.linear(x, w, b))
+        loss = nc.cross_entropy(nc.slice_rows(nc.add(h, h), 0, 1), 2)
+    graph.backward(loss)
+    assert len(graph.nodes) == 5
+    for node in graph.nodes:
+        assert node.out.grad is None and node.vjp is None
+        assert node.out.data.shape and np.isfinite(node.out.data).all()
+    assert w.grad.shape == w.shape and b.grad.shape == b.shape
+    assert x.grad is None
+
+
+def test_second_backward_on_a_tape_is_an_engine_error():
+    x = nc.param(np.array([[1.0, 2.0]]))
+    with nc.record() as graph:
+        loss = nc.sum_all(nc.silu(x))
+    graph.backward(loss)
+    first = x.grad
+    with pytest.raises(nc.EngineError) as e:
+        graph.backward(loss)
+    assert "\n" not in str(e.value) and "backward" in str(e.value)
+    assert x.grad is first
+
+
+@pytest.mark.parametrize("side,k,stride,pad", [(4, 3, 2, 1), (5, 3, 1, 1), (2, 5, 2, 2), (1, 4, 2, 2), (7, 3, 3, 2)])
+def test_conv_unfold_gradient_matches_padded_scatter_bitwise(side, k, stride, pad):
+    """The vjp skips taps on the padding; scattering into a padded map and
+    cropping it gives the same bits."""
+    rng = Rng(1313)
+    batch, ch = 2, 3
+    x = nc.param(_rand(rng, batch * side * side, ch))
+    with nc.record() as graph:
+        out = nc.conv_unfold(x, batch, side, k, stride, pad)
+    g = _rand(rng, *out.shape)
+    got = graph.nodes[-1].vjp(g)[0]
+    n = (side + 2 * pad - k) // stride + 1
+    gr = g.reshape(batch, n, n, k, k, ch)
+    padded = np.zeros((batch, side + 2 * pad, side + 2 * pad, ch))
+    for ky in range(k):
+        for kx in range(k):
+            padded[:, ky:ky + stride * n:stride, kx:kx + stride * n:stride] += gr[:, :, :, ky, kx]
+    want = padded[:, pad:pad + side, pad:pad + side].reshape(batch * side * side, ch)
+    assert np.array_equal(got, want)

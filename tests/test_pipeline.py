@@ -339,6 +339,27 @@ def test_stage2_nan_cache_rows_raise_before_the_update(tiny_banks):
     assert model.store.content_hash() == before
 
 
+def test_e2e_inf_gradient_raises_before_the_update(tiny_banks, inf_gradient_loss):
+    model = fresh_tiny_model()
+    before = model.store.content_hash()
+    with pytest.raises(DivergenceError) as err:
+        train_e2e(tiny_banks[:1], model, TrainConfig(epochs=1, instances_per_graph=6))
+    assert err.value.step == 0
+    assert "non-finite gradient" in str(err.value)
+    assert model.store.content_hash() == before
+
+
+def test_stage2_inf_gradient_raises_before_the_update(tiny_banks, inf_gradient_loss):
+    model = fresh_tiny_model()
+    cache, labels, dims = stage2_inputs(tiny_banks, model)
+    before = model.store.content_hash()
+    with pytest.raises(DivergenceError) as err:
+        train_mil_stage2(cache, labels, model, TrainConfig(epochs=1, stage="mil_only"), dims)
+    assert err.value.step == 0
+    assert "non-finite gradient of mil." in str(err.value)
+    assert model.store.content_hash() == before
+
+
 # -------------------------------------------------------- cut binary files
 
 

@@ -204,6 +204,26 @@ def test_ppm_truncated_file_reports_offset(tmp_path):
     assert e.value.offset == len(full) - 5
 
 
+def test_ppm_header_cut_inside_the_dimensions(tmp_path):
+    path = tmp_path / "h.ppm"
+    path.write_bytes(b"P6\n4 ")
+    with pytest.raises(PpmError) as e:
+        read_ppm(path)
+    assert e.value.offset == 5
+
+
+def test_ppm_trailing_bytes_report_offset(tmp_path):
+    raster = np.arange(48, dtype=np.uint8).reshape(4, 4, 3)
+    path = tmp_path / "t.ppm"
+    write_ppm(raster, path)
+    full = path.read_bytes()
+    path.write_bytes(full + b"\x00\x01\x02")
+    with pytest.raises(PpmError) as e:
+        read_ppm(path)
+    assert e.value.offset == len(full)
+    assert "3 trailing bytes" in str(e.value)
+
+
 def test_ppm_bad_magic(tmp_path):
     path = tmp_path / "bad.ppm"
     path.write_bytes(b"P5\n2 2\n255\n" + bytes(12))
