@@ -9,6 +9,11 @@ cross-attention rows and gate values it used, and the logits. Training,
 inference and attention diagnostics all read that pass, so a diagnostic is
 always the one behind the prediction.
 
+The latent attention runs as one fused `nc.attention` op per head, which
+keeps no (N, N) array, so a layer's memory is linear in the bag size. The
+cross attention keeps its matmul/softmax chain: its (queries, N) rows are the
+readout `IaamTrace` returns, and they are small.
+
 Fidelity notes, each locked by a brute-force oracle test:
 * the latent attention layer with heads=1 is exactly
   MLP(LayerNorm(A_low (T' W_value))) with A_low = softmax(Q_low K_low^T / sqrt(r)),
@@ -24,6 +29,7 @@ Fidelity notes, each locked by a brute-force oracle test:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -78,6 +84,14 @@ class Bag:
     @property
     def size(self) -> int:
         return self.features.data.shape[0]
+
+
+@lru_cache(maxsize=16)
+def _index_table(n: int, dim: int) -> np.ndarray:
+    """The sinusoid index encoding of an n-instance bag, built once per size."""
+    table = sinusoid_table(n, dim)
+    table.setflags(write=False)
+    return table
 
 
 def make_bag(features, coords, scale_codes, width, height, label=None) -> Bag:
@@ -155,7 +169,7 @@ class IaamNet:
             bag.scale_codes.astype(np.float64),
         ], axis=1)
         fc = nc.linear(nc.tensor(pos), self._p("fc_pos.w"), self._p("fc_pos.b"))
-        index_enc = nc.tensor(sinusoid_table(bag.size, self.cfg.dim))
+        index_enc = nc.tensor(_index_table(bag.size, self.cfg.dim))
         return nc.add(nc.add(bag.features, fc), index_enc)
 
     def mla_layer(self, x: nc.Tensor, layer: int) -> nc.Tensor:
@@ -167,9 +181,8 @@ class IaamNet:
         for h in range(cfg.heads):
             q = nc.matmul(x, self._p(f"{base}.head{h}.q_low"))
             k = nc.matmul(x, self._p(f"{base}.head{h}.k_low"))
-            attn = nc.softmax_rows(nc.scale(nc.matmul(q, nc.transpose(k)), 1.0 / np.sqrt(cfg.rank)))
             v = values if cfg.heads == 1 else nc.slice_cols(values, h * head_dim, (h + 1) * head_dim)
-            contexts.append(nc.matmul(attn, v))
+            contexts.append(nc.attention(q, k, v, 1.0 / np.sqrt(cfg.rank)))
         ctx = contexts[0] if cfg.heads == 1 else nc.concat_cols(contexts)
         if cfg.heads > 1:
             ctx = nc.matmul(ctx, self._p(f"{base}.merge"))

@@ -5,6 +5,7 @@ from .engine import (
     ShapeError,
     Tensor,
     add,
+    attention,
     block_self_attention,
     concat_cols,
     concat_rows,
@@ -34,7 +35,7 @@ from .rng import Rng
 
 __all__ = [
     "EngineError", "Graph", "LabelError", "ShapeError", "Tensor",
-    "add", "block_self_attention", "concat_cols", "concat_rows", "conv_unfold",
+    "add", "attention", "block_self_attention", "concat_cols", "concat_rows", "conv_unfold",
     "cross_entropy", "gather_rows", "layer_norm", "linear", "matmul", "mul", "param",
     "record", "reshape", "scale", "sigmoid", "silu",
     "slice_cols", "slice_rows", "softmax_rows", "sum_all", "tensor",

@@ -15,6 +15,11 @@ never writes into its upstream gradient `g`, and may return `g` itself or a
 view of it; a leaf's `.grad` may share memory with another gradient and is
 read-only by the same rule.
 
+`attention` computes softmax_rows(c * q @ k.T) @ v over blocks of query
+rows and keeps no (rows, keys) array: the tape holds q, k, v, each row's max
+and sum, and the output, and the vjp recomputes each block's probabilities
+from them. Its memory grows with rows plus keys, not with their product.
+
 Gradient rules are verified against central finite differences by
 `gradcheck.finite_diff_check`; keep any new op covered there.
 """
@@ -470,6 +475,74 @@ def conv_unfold(a: Tensor, batch: int, side: int, k: int, stride: int, pad: int)
         return (ga.reshape(batch * side * side, ch),)
 
     _emit(out, (a,), vjp)
+    return out
+
+
+# scores per block of query rows in `attention`: 1 MiB of float64
+_ATTENTION_BLOCK = 2 ** 17
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, c: float) -> Tensor:
+    """softmax_rows(c * q @ k.T) @ v as one node, computed over blocks of query rows.
+
+    Each block spans every key, so its row max and row sum are exact and the
+    values are the ones the matmul/scale/softmax_rows/matmul chain gives. The
+    tape keeps q, k, v, the (rows, 2) max and sum per query row, and the output;
+    the vjp recomputes each block's probabilities from them, so every
+    temporary is one block of scores or the size of q, k or v.
+    """
+    qd, kd, vd = q.data, k.data, v.data
+    if (qd.ndim != 2 or kd.ndim != 2 or vd.ndim != 2
+            or qd.shape[1] != kd.shape[1] or kd.shape[0] != vd.shape[0]):
+        raise ShapeError(f"attention shape mismatch: q {qd.shape}, k {kd.shape}, v {vd.shape}")
+    c = float(c)
+    rows = max(1, _ATTENTION_BLOCK // kd.shape[0])
+    blocks = [slice(r0, r0 + rows) for r0 in range(0, qd.shape[0], rows)]
+    stats = np.empty((qd.shape[0], 2))
+
+    def scores(b):
+        p = qd[b] @ kd.T
+        p *= c
+        return p
+
+    y = np.empty((qd.shape[0], vd.shape[1]))
+    for b in blocks:
+        p = scores(b)
+        m = p.max(axis=-1, keepdims=True)
+        p -= m
+        np.exp(p, out=p)
+        l = p.sum(axis=-1, keepdims=True)
+        p /= l
+        y[b] = p @ vd
+        stats[b, :1], stats[b, 1:] = m, l
+    out = Tensor(y)
+
+    def vjp(g):
+        gq = np.empty_like(qd) if q.requires_grad else None
+        gk = np.zeros_like(kd) if k.requires_grad else None
+        gv = np.zeros_like(vd) if v.requires_grad else None
+        for b in blocks:
+            p = scores(b)
+            p -= stats[b, :1]
+            np.exp(p, out=p)
+            p /= stats[b, 1:]
+            gb = g[b]
+            if gv is not None:
+                gv += p.T @ gb
+            if gq is None and gk is None:
+                continue
+            # rowsum(dp * p) == rowsum(g * out)
+            dp = gb @ vd.T
+            dp -= (gb * y[b]).sum(axis=-1, keepdims=True)
+            dp *= p
+            dp *= c
+            if gq is not None:
+                gq[b] = dp @ kd
+            if gk is not None:
+                gk += dp.T @ qd[b]
+        return (gq, gk, gv)
+
+    _emit(out, (q, k, v), vjp)
     return out
 
 

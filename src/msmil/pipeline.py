@@ -445,16 +445,19 @@ def train_mil_stage2(cache: FeatureCache, labels: dict[str, int], model: Model,
     idents = sorted(groups)
     opt = nc.GradAccumSgd(model.mil_params(), lr=cfg.lr, accum_steps=cfg.accum_steps)
     epochs = _Epochs("mil_only", [labels[ident] for ident in idents], cfg, opt.params)
+    # coordinates and scale codes of each slide, built once for every epoch
+    layout = {}
+    for ident, idx in groups.items():
+        entries = [cache.sidecar[i] for i in idx]
+        layout[ident] = (np.asarray([(e[1], e[2]) for e in entries], dtype=np.int64),
+                         np.asarray([e[4] for e in entries], dtype=np.int64))
     # the step stays inline: its locals live until the next step replaces
     # them, so the freed tape is reused instead of handed back to the OS
     for pos, _ in epochs:
         ident = idents[pos]
-        idx = groups[ident]
-        entries = [cache.sidecar[i] for i in idx]
-        coords = np.asarray([(e[1], e[2]) for e in entries], dtype=np.int64)
-        scales = np.asarray([e[4] for e in entries], dtype=np.int64)
+        coords, scales = layout[ident]
         dims = (slide_dims or {}).get(ident, (4096, 4096))
-        feats = nc.tensor(cache.rows[idx].astype(np.float64))
+        feats = nc.tensor(cache.rows[groups[ident]].astype(np.float64))
         bag = Bag(feats, coords, scales, dims[0], dims[1], label=labels[ident])
         opt.zero_grad()
         with nc.record() as graph:

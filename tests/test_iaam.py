@@ -7,6 +7,7 @@ import msmil.numcore as nc
 from msmil.encoding import sinusoid_table
 from msmil.iaam import Bag, IaamConfig, IaamNet, RankError, make_bag, order_instances
 from msmil.params import ParamStore
+from msmil.sffm import full_grid
 
 
 def build_net(cfg, seed=1):
@@ -442,3 +443,53 @@ def test_trace_bag_is_in_canonical_order():
     bag = random_bag(nc.Rng(199), 12, 8, distinct=False)
     order = np.lexsort((bag.scale_codes, bag.coords[:, 1], bag.coords[:, 0]))
     np.testing.assert_array_equal(net.trace(bag).bag.scale_codes, bag.scale_codes[order])
+
+
+# ------------------------------------------------------------ bag scaling
+
+
+def _tape_arrays(graph):
+    """Every array the tape holds: node outputs and what the vjp closures keep."""
+    seen, arrays = set(), []
+
+    def visit(obj):
+        if isinstance(obj, nc.Tensor):
+            obj = obj.data
+        if id(obj) in seen:
+            return
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            if isinstance(obj.base, np.ndarray):
+                visit(obj.base)
+            else:
+                arrays.append(obj)
+        elif isinstance(obj, (list, tuple)):
+            for item in obj:
+                visit(item)
+        elif callable(obj):
+            for cell in getattr(obj, "__closure__", None) or ():
+                visit(cell.cell_contents)
+
+    for node in graph.nodes:
+        visit(node.out)
+        visit(node.vjp)
+    return arrays
+
+
+def test_stage2_tape_is_linear_in_a_32768_square_bag():
+    """5,376 instances: the latent attention keeps no N x N array, so the
+    whole tape stays far below one such array per layer (221 MiB)."""
+    refs = full_grid(32768, 32768)
+    n = len(refs)
+    assert n == 5376
+    net, _ = build_net(IaamConfig(), seed=211)
+    feats = nc.Rng(223).normal(n * 64).reshape(n, 64)
+    bag = make_bag(feats, [(r.x, r.y) for r in refs], [r.scale_code for r in refs], 32768, 32768)
+    with nc.record() as graph:
+        loss = nc.cross_entropy(net.forward_logits(bag), 2)
+    arrays = _tape_arrays(graph)
+    assert max(a.size for a in arrays) < n * n
+    assert sum(a.nbytes for a in arrays) < 64 * 2 ** 20
+    graph.backward(loss)
+    for p in net.parameters():
+        assert p.grad is not None and np.isfinite(p.grad).all(), p.name

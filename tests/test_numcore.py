@@ -400,6 +400,41 @@ def test_packed_qkv_width_must_be_three_dims():
         nc.block_self_attention(nc.tensor(np.zeros((6, 8))), 3, 2)
 
 
+def _attention_case(rng, monkeypatch):
+    """7 queries over 5 keys in blocks of 2 query rows (the last one short)."""
+    monkeypatch.setattr(nc.engine, "_ATTENTION_BLOCK", 10)
+    return (nc.param(_rand(rng, 7, 3)), nc.param(_rand(rng, 5, 3)),
+            nc.param(_rand(rng, 5, 4)), nc.tensor(_rand(rng, 7, 4)))
+
+
+def test_attention_finite_diff_across_blocks(monkeypatch):
+    q, k, v, w = _attention_case(Rng(1414), monkeypatch)
+    f = lambda: nc.sum_all(nc.mul(nc.attention(q, k, v, 0.7), w))
+    assert nc.finite_diff_check(f, [q, k, v]) < 1e-4
+
+
+def test_attention_matches_the_softmax_chain_across_blocks(monkeypatch):
+    q, k, v, w = _attention_case(Rng(1515), monkeypatch)
+    c = 1.0 / np.sqrt(3)
+    fused = lambda: nc.attention(q, k, v, c)
+    chain = lambda: nc.matmul(nc.softmax_rows(nc.scale(nc.matmul(q, nc.transpose(k)), c)), v)
+    plain = fused().data
+    with nc.record():
+        assert np.array_equal(fused().data, plain)
+    np.testing.assert_allclose(plain, chain().data, rtol=0, atol=1e-12)
+    backward_of(lambda: nc.sum_all(nc.mul(fused(), w)), q, k, v)
+    grads = [t.grad.copy() for t in (q, k, v)]
+    backward_of(lambda: nc.sum_all(nc.mul(chain(), w)), q, k, v)
+    for got, t in zip(grads, (q, k, v)):
+        assert np.abs(got - t.grad).max() <= 1e-12 * np.abs(t.grad).max()
+
+
+def test_attention_shape_error_names_all_shapes():
+    with pytest.raises(nc.ShapeError) as e:
+        nc.attention(nc.tensor(np.zeros((2, 3))), nc.tensor(np.zeros((4, 3))), nc.tensor(np.zeros((5, 2))), 1.0)
+    assert "(2, 3)" in str(e.value) and "(4, 3)" in str(e.value) and "(5, 2)" in str(e.value)
+
+
 # ------------------------------------------------------------ vjp contract
 
 
@@ -409,6 +444,7 @@ def _contract_cases(rng):
     row, w = _rand(rng, 1, 3), _rand(rng, 3, 2)
     return {
         "add": ([a, row], lambda x, r: nc.add(x, r)),
+        "attention": ([a, _rand(rng, 5, 3), _rand(rng, 5, 2)], lambda x, y, z: nc.attention(x, y, z, 0.5)),
         "block_self_attention": ([_rand(rng, 6, 12)], lambda t: nc.block_self_attention(t, 3, 2)),
         "concat_cols": ([a, c], lambda x, y: nc.concat_cols([x, y])),
         "concat_rows": ([a, c], lambda x, y: nc.concat_rows([x, y])),
