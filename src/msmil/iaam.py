@@ -29,7 +29,6 @@ Fidelity notes, each locked by a brute-force oracle test:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -86,12 +85,23 @@ class Bag:
         return self.features.data.shape[0]
 
 
-@lru_cache(maxsize=16)
+# one read-only index encoding per dim, as long as the largest bag seen so far
+_INDEX_TABLES: dict[int, np.ndarray] = {}
+
+
 def _index_table(n: int, dim: int) -> np.ndarray:
-    """The sinusoid index encoding of an n-instance bag, built once per size."""
-    table = sinusoid_table(n, dim)
-    table.setflags(write=False)
-    return table
+    """The sinusoid index encoding of an n-instance bag.
+
+    Each row depends only on its position and `dim`, so the first n rows of a
+    longer table equal `sinusoid_table(n, dim)` bitwise; the table is rebuilt
+    only when a bag larger than any before it arrives.
+    """
+    table = _INDEX_TABLES.get(dim)
+    if table is None or table.shape[0] < n:
+        table = sinusoid_table(n, dim)
+        table.setflags(write=False)
+        _INDEX_TABLES[dim] = table
+    return table[:n]
 
 
 def make_bag(features, coords, scale_codes, width, height, label=None) -> Bag:

@@ -529,8 +529,6 @@ def attention(q: Tensor, k: Tensor, v: Tensor, c: float) -> Tensor:
             gb = g[b]
             if gv is not None:
                 gv += p.T @ gb
-            if gq is None and gk is None:
-                continue
             # rowsum(dp * p) == rowsum(g * out)
             dp = gb @ vd.T
             dp -= (gb * y[b]).sum(axis=-1, keepdims=True)

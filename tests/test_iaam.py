@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import msmil.iaam as iaam
 import msmil.numcore as nc
 from msmil.encoding import sinusoid_table
 from msmil.iaam import Bag, IaamConfig, IaamNet, RankError, make_bag, order_instances
@@ -135,6 +136,17 @@ def test_inject_gradient_check():
         return nc.sum_all(nc.silu(net.inject_encodings(bag)))
 
     assert nc.finite_diff_check(f, [store["mil.fc_pos.w"], store["mil.fc_pos.b"]]) < 1e-4
+
+
+def test_index_table_is_a_bitwise_prefix_for_mixed_bag_sizes(monkeypatch):
+    monkeypatch.setattr(iaam, "_INDEX_TABLES", {})
+    for n in (336, 84, 1344, 1, 700, 1344, 5376, 2859, 17):
+        for dim in (64, 6):
+            got = iaam._index_table(n, dim)
+            assert got.tobytes() == sinusoid_table(n, dim).tobytes()
+            assert not got.flags.writeable
+    # one table per dim, as long as the largest bag
+    assert {dim: t.shape for dim, t in iaam._INDEX_TABLES.items()} == {64: (5376, 64), 6: (5376, 6)}
 
 
 # ------------------------------------------------------------- mla_layer
