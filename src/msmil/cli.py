@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 from .evalbench import (
@@ -84,39 +84,23 @@ def _csv_ints(text: str) -> tuple[int, ...]:
     return tuple(int(tok) for tok in str(text).split(",") if tok != "")
 
 
-_DEFAULTS = {
-    "model.seed": 1,
-    "enc.input_side": 64,
-    "enc.widths": (24, 48, 96, 96),
-    "enc.token_dim": 64,
-    "enc.depth": 2,
-    "enc.heads": 4,
-    "mil.rank": 16,
-    "mil.heads": 1,
-    "mil.layers": 1,
-    "mil.queries": 10,
-    "mil.residual": False,
-    "train.instances_per_graph": 64,
-    "train.lr": 0.05,
-    "train.epochs": 6,
-    "train.accum_steps": 1,
-    "train.seed": 0,
-    "train.patch_source": "all_nonbackground",
-    "train.scales": (512, 1024, 2048),
-    "train.random_quotas": (46, 11, 3),
-    "train.stage2_epochs": 0,
-    "train.stage2_lr": 0.05,
-}
+_SECTIONS = (("enc", EncoderConfig), ("mil", IaamConfig), ("train", TrainConfig))
+# set by the encoder, the dataset and the subcommand, not by the run config
+_DERIVED = ("mil.dim", "mil.classes", "train.stage")
 
-_PARSERS = {
-    "enc.widths": _csv_ints,
-    "train.scales": _csv_ints,
-    "train.random_quotas": _csv_ints,
-    "mil.residual": lambda s: str(s).lower() in ("1", "true", "yes"),
-    "train.patch_source": str,
-    "train.lr": float,
-    "train.stage2_lr": float,
-}
+_DEFAULTS = {"model.seed": 1}
+_DEFAULTS.update({f"{section}.{f.name}": f.default
+                  for section, cls in _SECTIONS for f in fields(cls)
+                  if f"{section}.{f.name}" not in _DERIVED})
+_DEFAULTS.update({"train.stage2_epochs": 0, "train.stage2_lr": 0.05})
+
+
+def _parser_for(default):
+    if isinstance(default, tuple):
+        return _csv_ints
+    if isinstance(default, bool):
+        return lambda text: str(text).lower() in ("1", "true", "yes")
+    return type(default)
 
 
 def load_run_config(config_path: str | None, sets: list[str] | None) -> dict:
@@ -125,7 +109,7 @@ def load_run_config(config_path: str | None, sets: list[str] | None) -> dict:
     def apply(key: str, raw: str, origin: str):
         if key not in conf:
             raise CliConfigError(f"unknown config key {key!r} ({origin})")
-        parser = _PARSERS.get(key, type(_DEFAULTS[key]))
+        parser = _parser_for(_DEFAULTS[key])
         try:
             conf[key] = parser(raw)
         except ValueError as e:
@@ -152,21 +136,14 @@ def load_run_config(config_path: str | None, sets: list[str] | None) -> dict:
 
 
 def configs_from(conf: dict, classes: int):
-    enc = EncoderConfig(
-        input_side=conf["enc.input_side"], widths=tuple(conf["enc.widths"]),
-        token_dim=conf["enc.token_dim"], depth=conf["enc.depth"], heads=conf["enc.heads"],
-    )
-    mil = IaamConfig(
-        dim=conf["enc.token_dim"], rank=conf["mil.rank"], heads=conf["mil.heads"],
-        layers=conf["mil.layers"], queries=conf["mil.queries"], classes=classes,
-        residual=conf["mil.residual"],
-    )
-    train = TrainConfig(
-        instances_per_graph=conf["train.instances_per_graph"], lr=conf["train.lr"],
-        epochs=conf["train.epochs"], accum_steps=conf["train.accum_steps"],
-        seed=conf["train.seed"], patch_source=conf["train.patch_source"],
-        scales=tuple(conf["train.scales"]), random_quotas=tuple(conf["train.random_quotas"]),
-    )
+    def build(section, cls, **derived):
+        keys = {f.name: conf[f"{section}.{f.name}"] for f in fields(cls)
+                if f"{section}.{f.name}" in conf}
+        return cls(**keys, **derived)
+
+    enc = build("enc", EncoderConfig)
+    mil = build("mil", IaamConfig, dim=conf["enc.token_dim"], classes=classes)
+    train = build("train", TrainConfig)
     return enc, mil, train
 
 

@@ -104,12 +104,6 @@ def _index_table(n: int, dim: int) -> np.ndarray:
     return table[:n]
 
 
-def make_bag(features, coords, scale_codes, width, height, label=None) -> Bag:
-    if not isinstance(features, nc.Tensor):
-        features = nc.tensor(np.asarray(features, dtype=np.float64))
-    return Bag(features, coords, scale_codes, width, height, label)
-
-
 def order_instances(bag: Bag) -> Bag:
     """Stable sort by (x, y, scale_code), permuting all three arrays together."""
     order = np.lexsort((bag.scale_codes, bag.coords[:, 1], bag.coords[:, 0]))
@@ -216,9 +210,6 @@ class IaamNet:
 
     def logits(self, bag_feature: nc.Tensor) -> nc.Tensor:
         return nc.linear(bag_feature, self._p("head.w"), self._p("head.b"))
-
-    def classify(self, bag_feature: nc.Tensor) -> nc.Tensor:
-        return nc.softmax_rows(self.logits(bag_feature))
 
     # ------------------------------------------------------------- surface
 

@@ -21,7 +21,6 @@ from . import numcore as nc
 from .encoding import sinusoid_table
 from .params import ParamStore, uniform_init
 from .raster import area_resize, bilinear_resize
-from .sffm import PatchRef
 
 CONV_KERNEL = 3
 CONV_STRIDE = 2
@@ -66,17 +65,6 @@ class EncoderConfig:
         return self.feature_side ** 2 + 1  # tokens plus the classification token
 
 
-@dataclass
-class FeatureVec:
-    values: np.ndarray
-    origin: PatchRef | None = None
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64).reshape(-1)
-        if not np.isfinite(self.values).all():
-            raise ValueError("non-finite feature values")
-
-
 def resize_patch(patch: np.ndarray, side: int) -> np.ndarray:
     """Resize to side x side: area-average shrink, bilinear grow, float64 out."""
     h, w = patch.shape[:2]
@@ -85,15 +73,6 @@ def resize_patch(patch: np.ndarray, side: int) -> np.ndarray:
     if h >= side and w >= side:
         return area_resize(patch, side, side)
     return bilinear_resize(patch, side, side)
-
-
-def tokenize(feature_map: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row-major token sequence (m*m, c) plus its sinusoidal index encoding."""
-    m, m2, c = feature_map.shape
-    if m != m2:
-        raise ConfigError(f"feature map must be square, got {feature_map.shape}")
-    seq = feature_map.reshape(m * m, c)
-    return seq, sinusoid_table(m * m, c)
 
 
 class PatchEncoder:
@@ -201,20 +180,6 @@ class PatchEncoder:
         x = nc.tensor(resized.reshape(batch * side * side, 3) / 255.0)
         feats = self.conv_trunk(x, batch)
         return self.summarize(feats, batch)
-
-    def backbone(self, patch: np.ndarray) -> np.ndarray:
-        """Single resized patch -> (m, m, c_f) feature map (no recording)."""
-        side = self.cfg.input_side
-        x = nc.tensor(patch.reshape(side * side, 3) / 255.0)
-        rows = self.conv_trunk(x, 1)
-        m = self.cfg.feature_side
-        return rows.data.reshape(m, m, self.cfg.feature_channels)
-
-    def extract(self, patch: np.ndarray, origin: PatchRef | None = None) -> FeatureVec:
-        """Full resize -> trunk -> tokenize -> summarize composition for one patch."""
-        resized = resize_patch(patch, self.cfg.input_side)
-        out = self.extract_batch(resized[None])
-        return FeatureVec(out.data[0], origin=origin)
 
     def parameters(self) -> list[nc.Tensor]:
         return self.store.subset(self.prefix + ".")

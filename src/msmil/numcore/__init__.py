@@ -18,12 +18,10 @@ from .engine import (
     mul,
     param,
     record,
-    reshape,
     scale,
     sigmoid,
     silu,
     slice_cols,
-    slice_rows,
     softmax_rows,
     sum_all,
     tensor,
@@ -37,8 +35,8 @@ __all__ = [
     "EngineError", "Graph", "LabelError", "ShapeError", "Tensor",
     "add", "attention", "block_self_attention", "concat_cols", "concat_rows", "conv_unfold",
     "cross_entropy", "gather_rows", "layer_norm", "linear", "matmul", "mul", "param",
-    "record", "reshape", "scale", "sigmoid", "silu",
-    "slice_cols", "slice_rows", "softmax_rows", "sum_all", "tensor",
+    "record", "scale", "sigmoid", "silu",
+    "slice_cols", "softmax_rows", "sum_all", "tensor",
     "transpose", "DeterminismError", "finite_diff_check",
     "GradAccumSgd", "ProtocolError", "Rng",
 ]

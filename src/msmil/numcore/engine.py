@@ -1,7 +1,8 @@
 """Reverse-mode differentiable tensor engine.
 
 Minimal by design: float64 throughout, 2-D matrices everywhere, and exactly
-the operations the slide-classification pipeline composes. A forward pass
+the operations the slide-classification pipeline composes, plus `mul` and
+`sum_all`, from which the tests build their scalar losses. A forward pass
 either records onto an explicit tape (training) or does not (inference);
 the two modes produce bitwise-identical values.
 
@@ -352,13 +353,6 @@ def transpose(a: Tensor) -> Tensor:
     return out
 
 
-def reshape(a: Tensor, shape) -> Tensor:
-    src = a.data.shape
-    out = Tensor(a.data.reshape(shape).copy())
-    _emit(out, (a,), lambda g: (g.reshape(src).copy(),))
-    return out
-
-
 def concat_rows(parts: Sequence[Tensor]) -> Tensor:
     parts = list(parts)
     out = Tensor(np.concatenate([p.data for p in parts], axis=0))
@@ -386,18 +380,6 @@ def concat_cols(parts: Sequence[Tensor]) -> Tensor:
         )
 
     _emit(out, tuple(parts), vjp)
-    return out
-
-
-def slice_rows(a: Tensor, r0: int, r1: int) -> Tensor:
-    out = Tensor(a.data[r0:r1].copy())
-
-    def vjp(g):
-        ga = np.zeros_like(a.data)
-        ga[r0:r1] = g
-        return (ga,)
-
-    _emit(out, (a,), vjp)
     return out
 
 

@@ -226,16 +226,9 @@ class SlideRecord:
         self._image.ident = self.ident
         return self._image
 
-    def mask(self) -> LesionMask:
-        if self._mask is None:
-            raster = (read_ppm(self.path / "mask.ppm") >= 128).astype(np.uint8)
-            self._mask = LesionMask(raster, provenance="file")
-        return self._mask
-
     def drop_cache(self):
         if self.path is not None:
             self._image = None
-            self._mask = None
 
 
 @dataclass

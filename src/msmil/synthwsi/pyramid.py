@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..raster import area_resize, box_downscale, to_uint8
+from ..raster import box_downscale, to_uint8
 
 LEVEL_FACTORS = (1, 2, 4, 8, 16)
 THUMB_SIDE = 1024
@@ -74,14 +74,3 @@ class LesionMask:
     def red(self) -> np.ndarray:
         return self.raster[:, :, 0]
 
-
-def thumbnail(image: PyramidImage) -> tuple[np.ndarray, float, float]:
-    """Area-averaged 1024x1024 view plus the exact scale factors (W/1024, H/1024)."""
-    if image.width < THUMB_SIDE or image.height < THUMB_SIDE:
-        raise SizeError(
-            f"image {image.width}x{image.height} smaller than {THUMB_SIDE} on a side"
-        )
-    s1 = image.width / THUMB_SIDE
-    s2 = image.height / THUMB_SIDE
-    raster = to_uint8(area_resize(image.base, THUMB_SIDE, THUMB_SIDE))
-    return raster, s1, s2

@@ -5,8 +5,7 @@ import msmil.numcore as nc
 from msmil.iaam import IaamConfig
 from msmil.msfem import EncoderConfig
 from msmil.numcore.engine import _emit
-from msmil.pipeline import build_banks, build_model
-from msmil.sffm import OracleMaskProvider
+from msmil.pipeline import build_banks, build_model, oracle_provider
 from msmil.synthwsi import SynthSpec, build_dataset, generate_wsi
 
 TINY_SIDE = 32
@@ -31,7 +30,7 @@ def c4_spec():
 @pytest.fixture(scope="session")
 def tiny_dataset(c4_spec):
     ds = build_dataset(c4_spec, 4, seed=77)
-    provider = OracleMaskProvider({r.ident: r.mask() for r in ds.slides})
+    provider = oracle_provider(ds)
     return ds, provider
 
 
@@ -45,7 +44,7 @@ def tiny_banks(tiny_dataset):
 def c2_banks():
     """Six-slide two-class set; macro bands separate the classes (needs 5x)."""
     ds = build_dataset(SynthSpec(classes=2), 6, seed=66)
-    provider = OracleMaskProvider({r.ident: r.mask() for r in ds.slides})
+    provider = oracle_provider(ds)
     return build_banks(ds, provider, TINY_SIDE)
 
 

@@ -260,6 +260,33 @@ def test_train_inf_gradient_exit_4(cli_dataset, cli_trained, tmp_path, inf_gradi
     assert not (out / "params.msmp").exists()
 
 
+def test_train_mil_only_cache_of_another_dataset_exit_2(cli_dataset, cli_trained, tmp_path, capsys):
+    cache = read_cache(cli_trained / "features.msml")
+    foreign = [("slide_0099",) + entry[1:] if entry[0] == cache.sidecar[-1][0] else entry
+               for entry in cache.sidecar]
+    write_cache(FeatureCache(cache.rows, foreign), tmp_path / "foreign.msml")
+    out = tmp_path / "s2"
+    capsys.readouterr()
+    rc = main(["train", "--dataset", str(cli_dataset), "--out", str(out), "--stage", "mil_only",
+               "--cache", str(tmp_path / "foreign.msml"), *TINY_SETS])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "'slide_0099'" in err
+    assert not (out / "params.msmp").exists()
+
+
+def test_train_mil_only_cache_of_another_width_exit_2(cli_dataset, cli_trained, tmp_path, capsys):
+    out = tmp_path / "s2"
+    capsys.readouterr()
+    rc = main(["train", "--dataset", str(cli_dataset), "--out", str(out), "--stage", "mil_only",
+               "--cache", str(cli_trained / "features.msml"), *TINY_SETS,
+               "--set", "enc.token_dim=32"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "dim 24" in err and "32" in err
+    assert not (out / "params.msmp").exists()
+
+
 def test_infer_ppm_with_trailing_bytes_exit_2(cli_trained, tmp_path, capsys):
     root = tmp_path / "ds"
     assert main(["generate", "--out", str(root), "--slides", "1", "--classes", "4", "--seed", "3"]) == 0

@@ -6,7 +6,7 @@ import pytest
 import msmil.iaam as iaam
 import msmil.numcore as nc
 from msmil.encoding import sinusoid_table
-from msmil.iaam import Bag, IaamConfig, IaamNet, RankError, make_bag, order_instances
+from msmil.iaam import Bag, IaamConfig, IaamNet, RankError, order_instances
 from msmil.params import ParamStore
 from msmil.sffm import full_grid
 
@@ -23,7 +23,7 @@ def random_bag(rng, n, d, width=4096, height=4096, distinct=True):
     else:
         coords = np.stack([rng.integers(0, width, n), rng.integers(0, height, n)], axis=1)
     scales = rng.integers(0, 3, n)
-    return make_bag(feats, coords, scales, width, height)
+    return Bag(nc.tensor(feats), coords, scales, width, height)
 
 
 # --------------------------------------------------- brute-force oracles
@@ -75,14 +75,14 @@ def brute_gated_pool(refined, w_g, b_g):
 
 
 def test_order_already_sorted_unchanged():
-    bag = make_bag(np.eye(3), [[10, 5], [20, 9], [30, 1]], [0, 1, 2], 4096, 4096)
+    bag = Bag(nc.tensor(np.eye(3)), [[10, 5], [20, 9], [30, 1]], [0, 1, 2], 4096, 4096)
     out = order_instances(bag)
     np.testing.assert_array_equal(out.features.data, bag.features.data)
     np.testing.assert_array_equal(out.coords, bag.coords)
 
 
 def test_order_colocated_scales_tie_break():
-    bag = make_bag(np.diag([1.0, 2.0, 3.0]), [[100, 100]] * 3, [2, 0, 1], 4096, 4096)
+    bag = Bag(nc.tensor(np.diag([1.0, 2.0, 3.0])), [[100, 100]] * 3, [2, 0, 1], 4096, 4096)
     out = order_instances(bag)
     np.testing.assert_array_equal(out.scale_codes, [0, 1, 2])
     # feature rows follow their scale codes
@@ -92,8 +92,8 @@ def test_order_colocated_scales_tie_break():
 def test_order_reversed_matches_reference_sort():
     rng = nc.Rng(5)
     bag = random_bag(rng, 8, 4)
-    rev = make_bag(bag.features.data[::-1].copy(), bag.coords[::-1].copy(),
-                   bag.scale_codes[::-1].copy(), 4096, 4096)
+    rev = Bag(nc.tensor(bag.features.data[::-1].copy()), bag.coords[::-1].copy(),
+              bag.scale_codes[::-1].copy(), 4096, 4096)
     out = order_instances(rev)
     ref = sorted(range(8), key=lambda i: (rev.coords[i, 0], rev.coords[i, 1], rev.scale_codes[i]))
     np.testing.assert_array_equal(out.coords, rev.coords[ref])
@@ -108,7 +108,7 @@ def test_inject_zero_fc_reduces_to_features_plus_index():
     cfg = IaamConfig(dim=8, rank=4, queries=3, classes=2)
     net, store = build_net(cfg)
     store["mil.fc_pos.w"].data[...] = 0.0
-    bag = make_bag(np.ones((3, 8)), [[1, 2], [3, 4], [5, 6]], [0, 1, 2], 4096, 4096)
+    bag = Bag(nc.tensor(np.ones((3, 8))), [[1, 2], [3, 4], [5, 6]], [0, 1, 2], 4096, 4096)
     out = net.inject_encodings(bag)
     np.testing.assert_allclose(out.data, 1.0 + sinusoid_table(3, 8), atol=1e-15)
 
@@ -117,7 +117,7 @@ def test_inject_scale_code_linearity():
     cfg = IaamConfig(dim=8, rank=4, queries=3, classes=2)
     net, store = build_net(cfg)
     feats = np.zeros((2, 8))
-    bag = make_bag(feats, [[64, 64], [64, 64]], [0, 1], 4096, 4096)
+    bag = Bag(nc.tensor(feats), [[64, 64], [64, 64]], [0, 1], 4096, 4096)
     out = net.inject_encodings(bag)
     diff = out.data[1] - out.data[0]
     # rows share coords and index encoding differs; subtract it out
@@ -336,7 +336,7 @@ def test_classify_zero_weights_uniform():
     net, store = build_net(cfg, seed=103)
     store["mil.head.w"].data[...] = 0.0
     store["mil.head.b"].data[...] = 0.0
-    probs = net.classify(nc.tensor(np.ones((1, 8))))
+    probs = nc.softmax_rows(net.logits(nc.tensor(np.ones((1, 8)))))
     np.testing.assert_allclose(probs.data, np.full((1, 5), 0.2), atol=1e-15)
 
 
@@ -345,7 +345,7 @@ def test_classify_saturation():
     net, store = build_net(cfg, seed=107)
     store["mil.head.w"].data[...] = 0.0
     store["mil.head.b"].data[...] = [[1e6, 0.0]]
-    probs = net.classify(nc.tensor(np.ones((1, 2)))).data
+    probs = nc.softmax_rows(net.logits(nc.tensor(np.ones((1, 2))))).data
     np.testing.assert_allclose(probs, [[1.0, 0.0]], atol=1e-12)
 
 
@@ -367,7 +367,7 @@ def test_classify_head_gradient_check():
 def test_forward_single_instance_bag():
     cfg = IaamConfig(dim=8, rank=2, queries=3, classes=4)
     net, _ = build_net(cfg, seed=127)
-    bag = make_bag(nc.Rng(131).normal(8).reshape(1, 8), [[100, 200]], [1], 4096, 4096)
+    bag = Bag(nc.tensor(nc.Rng(131).normal(8).reshape(1, 8)), [[100, 200]], [1], 4096, 4096)
     probs = net.forward(bag).data
     assert np.isfinite(probs).all()
     assert probs.sum() == pytest.approx(1.0, abs=1e-12)
@@ -393,8 +393,8 @@ def test_forward_invariant_to_input_order():
     probs = net.forward(bag).data
     for _ in range(5):
         perm = rng.permutation(7)
-        shuffled = make_bag(bag.features.data[perm], bag.coords[perm],
-                            bag.scale_codes[perm], bag.width, bag.height)
+        shuffled = Bag(nc.tensor(bag.features.data[perm]), bag.coords[perm],
+                       bag.scale_codes[perm], bag.width, bag.height)
         np.testing.assert_allclose(net.forward(shuffled).data, probs, atol=1e-12)
 
 
@@ -496,7 +496,7 @@ def test_stage2_tape_is_linear_in_a_32768_square_bag():
     assert n == 5376
     net, _ = build_net(IaamConfig(), seed=211)
     feats = nc.Rng(223).normal(n * 64).reshape(n, 64)
-    bag = make_bag(feats, [(r.x, r.y) for r in refs], [r.scale_code for r in refs], 32768, 32768)
+    bag = Bag(nc.tensor(feats), [(r.x, r.y) for r in refs], [r.scale_code for r in refs], 32768, 32768)
     with nc.record() as graph:
         loss = nc.cross_entropy(net.forward_logits(bag), 2)
     arrays = _tape_arrays(graph)

@@ -3,9 +3,8 @@ import pytest
 
 import msmil.numcore as nc
 from msmil.encoding import sinusoid_table
-from msmil.msfem import ConfigError, EncoderConfig, FeatureVec, PatchEncoder, resize_patch, tokenize
+from msmil.msfem import ConfigError, EncoderConfig, PatchEncoder, resize_patch
 from msmil.params import ParamStore
-from msmil.sffm import PatchRef
 
 
 def tiny_encoder(seed=1, **kw):
@@ -14,6 +13,18 @@ def tiny_encoder(seed=1, **kw):
                         heads=kw.pop("heads", 2), **kw)
     store = ParamStore()
     return PatchEncoder(cfg, store, nc.Rng(seed)), store
+
+
+def encode(enc, patch):
+    """One raw patch through the pipeline's path: resize, then the batch encoder."""
+    return enc.extract_batch(resize_patch(patch, enc.cfg.input_side)[None]).data[0]
+
+
+def feature_map(enc, patch):
+    """The conv trunk's (m, m, c_f) feature map of one resized patch."""
+    side, m = enc.cfg.input_side, enc.cfg.feature_side
+    rows = enc.conv_trunk(nc.tensor(patch.reshape(side * side, 3) / 255.0), 1)
+    return rows.data.reshape(m, m, enc.cfg.feature_channels)
 
 
 # ------------------------------------------------------------- resize_patch
@@ -47,12 +58,12 @@ def test_resize_grow_is_bilinear_smooth():
     assert (np.diff(out[:, :, 0], axis=1) >= 0).all()
 
 
-# --------------------------------------------------------------- backbone
+# -------------------------------------------------------------- conv trunk
 
 
 def test_backbone_zero_input_zero_map():
     enc, _ = tiny_encoder()
-    out = enc.backbone(np.zeros((16, 16, 3)))
+    out = feature_map(enc, np.zeros((16, 16, 3)))
     np.testing.assert_array_equal(out, np.zeros_like(out))
     assert out.shape == (4, 4, 8)
 
@@ -67,8 +78,8 @@ def test_backbone_translation_equivariance():
     base = (rng.uniform(64 * 64 * 3) * 255).reshape(64, 64, 3)
     shifted = np.zeros_like(base)
     shifted[:, stride:] = base[:, :-stride]
-    map_a = enc.backbone(base)
-    map_b = enc.backbone(shifted)
+    map_a = feature_map(enc, base)
+    map_b = feature_map(enc, shifted)
     # interior: drop cells whose receptive field touches the pad or the seam
     np.testing.assert_allclose(map_b[2:-2, 3:-2], map_a[2:-2, 2:-3], atol=1e-12)
 
@@ -91,16 +102,7 @@ def test_config_error_on_bad_stride_divisibility():
         EncoderConfig(input_side=50, widths=(4, 8), token_dim=8, depth=1, heads=2)
 
 
-# ---------------------------------------------------------------- tokenize
-
-
-def test_tokenize_row_major_order():
-    fmap = np.arange(2 * 2 * 3.0).reshape(2, 2, 3)
-    seq, _ = tokenize(fmap)
-    np.testing.assert_array_equal(seq[0], fmap[0, 0])
-    np.testing.assert_array_equal(seq[1], fmap[0, 1])
-    np.testing.assert_array_equal(seq[2], fmap[1, 0])
-    np.testing.assert_array_equal(seq[3], fmap[1, 1])
+# ------------------------------------------------------- position encoding
 
 
 def test_position_encoding_base_pattern():
@@ -110,29 +112,21 @@ def test_position_encoding_base_pattern():
     np.testing.assert_allclose(table[1, 1], np.cos(1.0), atol=1e-15)
 
 
-def test_tokenize_purity():
-    fmap = np.random.default_rng(0).random((3, 3, 5))
-    a, ea = tokenize(fmap)
-    b, eb = tokenize(fmap)
-    np.testing.assert_array_equal(a, b)
-    np.testing.assert_array_equal(ea, eb)
-
-
 # ------------------------------------------------------------------ encode
 
 
 def test_encode_depth_zero_returns_projected_cls_token():
     enc, store = tiny_encoder(depth=0)
     patch = np.full((16, 16, 3), 55.0)
-    out = enc.extract(patch)
+    out = encode(enc, patch)
     # depth 0: tokens never mix with the classification token, so the output
     # is the (normalized) learnable token's projection, input-independent
     cls = store["enc.cls"].data[0]
     normed = (cls - cls.mean()) / np.sqrt(cls.var() + 1e-5)
     expect = normed @ store["enc.proj.w"].data + store["enc.proj.b"].data
-    np.testing.assert_allclose(out.values, expect[0], atol=1e-12)
-    other = enc.extract(np.full((16, 16, 3), 200.0))
-    np.testing.assert_allclose(out.values, other.values, atol=1e-15)
+    np.testing.assert_allclose(out, expect[0], atol=1e-12)
+    other = encode(enc, np.full((16, 16, 3), 200.0))
+    np.testing.assert_allclose(out, other, atol=1e-15)
 
 
 def test_encode_gradient_check_full():
@@ -152,28 +146,19 @@ def test_encode_token_order_matters():
     rng = nc.Rng(31)
     patch = (rng.uniform(16 * 16 * 3) * 255).reshape(16, 16, 3)
     flipped = patch[::-1].copy()
-    a = enc.extract(patch).values
-    b = enc.extract(flipped).values
+    a = encode(enc, patch)
+    b = encode(enc, flipped)
     assert np.abs(a - b).max() > 1e-8
 
 
 # ----------------------------------------------------------------- extract
 
 
-def test_extract_ignores_scale_code():
-    enc, _ = tiny_encoder(seed=7)
-    rng = nc.Rng(41)
-    patch = (rng.uniform(16 * 16 * 3) * 255).reshape(16, 16, 3)
-    a = enc.extract(patch, origin=PatchRef(256, 256, 512, 0))
-    b = enc.extract(patch, origin=PatchRef(256, 256, 512, 2))
-    np.testing.assert_array_equal(a.values, b.values)
-
-
 def test_extract_deterministic():
     enc, _ = tiny_encoder(seed=7)
     patch = np.full((32, 32, 3), 90.0)
-    a = enc.extract(patch).values
-    b = enc.extract(patch).values
+    a = encode(enc, patch)
+    b = encode(enc, patch)
     np.testing.assert_array_equal(a, b)
 
 
@@ -181,9 +166,9 @@ def test_extract_output_shape_and_finiteness():
     enc, _ = tiny_encoder(seed=8)
     rng = nc.Rng(43)
     patch = (rng.uniform(48 * 48 * 3) * 255).reshape(48, 48, 3)
-    fv = enc.extract(patch)
-    assert fv.values.shape == (12,)
-    assert np.isfinite(fv.values).all()
+    out = encode(enc, patch)
+    assert out.shape == (12,)
+    assert np.isfinite(out).all()
 
 
 def test_extract_batch_matches_single(c4_slides):
@@ -197,8 +182,3 @@ def test_extract_batch_matches_single(c4_slides):
     for i in range(2):
         single = enc.extract_batch(patches[i:i + 1]).data[0]
         np.testing.assert_allclose(batched[i], single, atol=1e-12)
-
-
-def test_feature_vec_rejects_non_finite():
-    with pytest.raises(ValueError):
-        FeatureVec(np.array([1.0, np.nan]))

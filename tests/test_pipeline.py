@@ -243,7 +243,7 @@ def test_stage2_rejects_empty_cache():
     model = fresh_tiny_model()
     cfg = TrainConfig(stage="mil_only")
     with pytest.raises(CacheFormatError):
-        train_mil_stage2(FeatureCache(np.zeros((0, 24), dtype=np.float32), []), {}, model, cfg)
+        train_mil_stage2(FeatureCache(np.zeros((0, 24), dtype=np.float32), []), {}, model, cfg, {})
 
 
 # ---------------------------------------------------------------- inference

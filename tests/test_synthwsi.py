@@ -3,6 +3,7 @@ import pytest
 from scipy import stats
 
 from msmil.raster import box_downscale
+from msmil.sffm import FileMaskProvider
 from msmil.synthwsi import (
     LesionMask,
     PpmError,
@@ -16,7 +17,6 @@ from msmil.synthwsi import (
     load_dataset,
     read_ppm,
     single_scale_caps,
-    thumbnail,
     write_dataset,
     write_ppm,
 )
@@ -131,29 +131,6 @@ def test_spec_validation():
 # ----------------------------------------------------------------- pyramid
 
 
-def test_thumbnail_scale_factors(c4_slides):
-    img, _, _ = c4_slides[0]
-    _, s1, s2 = thumbnail(img)
-    assert s1 == 4.0 and s2 == 4.0
-
-
-def test_thumbnail_rectangular_factors():
-    img = PyramidImage(np.zeros((4096, 2048, 3), dtype=np.uint8))
-    _, s1, s2 = thumbnail(img)
-    assert s1 == 2.0 and s2 == 4.0
-
-
-def test_thumbnail_constant_image():
-    img = PyramidImage(np.full((1024, 2048, 3), 77, dtype=np.uint8))
-    raster, _, _ = thumbnail(img)
-    assert (raster == 77).all()
-
-
-def test_thumbnail_rejects_small_images():
-    with pytest.raises(SizeError):
-        thumbnail(PyramidImage(np.zeros((512, 2048, 3), dtype=np.uint8)))
-
-
 def test_pyramid_levels_agree_with_level0_averaging(c4_slides):
     img, _, _ = c4_slides[1]
     for factor in (2, 4, 8, 16):
@@ -250,8 +227,9 @@ def test_dataset_write_load_roundtrip(tmp_path):
     rec = loaded.slides[2]
     mem = ds.slides[2]
     assert (rec.image().base == mem.image().base).all()
-    assert (rec.mask().raster == mem.mask().raster).all()
-    assert rec.mask().provenance == "file"
+    filed = FileMaskProvider(tmp_path / "ds").mask_for(rec.ident)
+    assert (filed.raster == generate_mask(spec, mem.seed).raster).all()
+    assert filed.provenance == "file"
 
 
 def test_dataset_write_is_reproducible(tmp_path):
