@@ -287,7 +287,7 @@ def cmd_eval(args) -> int:
             entries["fold_sizes"] = ",".join(str(s) for s in summary["fold_sizes"])
             write_report(out, entries)
         return 0
-    report = evaluate(banks, model, args.strategy, scales=train_cfg.scales)
+    report = evaluate(banks, model, train_cfg, args.strategy)
     print(f"accuracy {report.accuracy:.4f}  auc {report.auc_macro:.4f}  "
           f"slides {len(banks)}  wall_ms {report.wall_ms:.0f}")
     if out:
@@ -306,8 +306,7 @@ def cmd_ablate(args) -> int:
     provider = _provider(dataset, args.mask)
     model, enc_cfg, _, train_cfg = _load_model_for(dataset, conf, args.params)
     banks = build_banks(dataset, provider, enc_cfg.input_side)
-    result = ablation_run(banks, model, seed=train_cfg.seed,
-                          quotas=train_cfg.random_quotas)
+    result = ablation_run(banks, model, train_cfg)
     headers = ["strategy", "accuracy", "auc", "mean_patches", "wall_ms"]
     rows = [[r["strategy"], r["accuracy"], r["auc"], r["mean_patches"], r["wall_ms"]]
             for r in result["rows"]]

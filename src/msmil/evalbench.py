@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import numcore as nc
-from .pipeline import Model, SlideBank, TrainConfig, bag_from_bank, select_batch
+from .pipeline import Model, SlideBank, TrainConfig, bag_from_bank, select_batch, train_e2e
 
 
 class InputError(Exception):
@@ -96,11 +96,11 @@ def auc_macro_ovr(prob_matrix: np.ndarray, labels) -> tuple[float, list[float]]:
 # ------------------------------------------------------------- evaluation
 
 
-def evaluate_strategy(banks: list[SlideBank], model: Model, strategy: str,
-                      seed: int = 0, quotas=(46, 11, 3),
-                      scales=(512, 1024, 2048)) -> tuple[np.ndarray, np.ndarray, list[int], float]:
+def evaluate_strategy(banks: list[SlideBank], model: Model, strategy: str, cfg: TrainConfig,
+                      seed: int = 0) -> tuple[np.ndarray, np.ndarray, list[int], float]:
     """Predictions and probabilities for one patch-selection strategy,
-    identical model parameters across strategies."""
+    identical model parameters across strategies; patches come from
+    `cfg.scales`, and random picks follow `cfg.random_quotas`."""
     source = {"all": "all_nonbackground", "random": "random_k", "lesion": "lesion_only"}[strategy]
     t0 = time.perf_counter()
     preds, probs, counts = [], [], []
@@ -108,9 +108,9 @@ def evaluate_strategy(banks: list[SlideBank], model: Model, strategy: str,
     for pos, bank in enumerate(banks):
         slide_rng = rng.child(pos)
         if source == "random_k":
-            idx = select_batch(bank, "random_k", 10 ** 9, slide_rng, tuple(scales), tuple(quotas))
+            idx = select_batch(bank, "random_k", 10 ** 9, slide_rng, cfg.scales, cfg.random_quotas)
         else:
-            idx, _ = bank.usable_idx(source, tuple(scales))
+            idx, _ = bank.usable_idx(source, cfg.scales)
         bag = bag_from_bank(bank, idx, model)
         p = model.mil.forward(bag).data[0]
         preds.append(int(np.argmax(p)))
@@ -120,10 +120,10 @@ def evaluate_strategy(banks: list[SlideBank], model: Model, strategy: str,
     return np.asarray(preds), np.stack(probs), counts, wall
 
 
-def evaluate(banks: list[SlideBank], model: Model, strategy: str = "lesion",
-             seed: int = 0, scales=(512, 1024, 2048)) -> EvalReport:
+def evaluate(banks: list[SlideBank], model: Model, cfg: TrainConfig,
+             strategy: str = "lesion", seed: int = 0) -> EvalReport:
     labels = [b.label for b in banks]
-    preds, probs, counts, wall = evaluate_strategy(banks, model, strategy, seed, scales=scales)
+    preds, probs, counts, wall = evaluate_strategy(banks, model, strategy, cfg, seed)
     n_classes = probs.shape[1]
     confusion = np.zeros((n_classes, n_classes), dtype=np.int64)
     for t, p in zip(labels, preds):
@@ -179,7 +179,7 @@ def kfold_run(banks: list[SlideBank], k: int, trainer, cfg: TrainConfig,
             raise StratificationError(f"fold {fold_idx}: training split is missing a class")
         model = trainer(train_banks, cfg)
         test_banks = [banks[i] for i in test_idx]
-        preds, probs, _, _ = evaluate_strategy(test_banks, model, "lesion", seed=eval_seed)
+        preds, probs, _, _ = evaluate_strategy(test_banks, model, "lesion", cfg, eval_seed)
         fold_labels = [b.label for b in test_banks]
         fold_acc.append(accuracy(preds, fold_labels))
         pooled_probs.append(probs)
@@ -212,14 +212,14 @@ def kfold_run(banks: list[SlideBank], k: int, trainer, cfg: TrainConfig,
 STRATEGIES = ("all", "random", "lesion")
 
 
-def ablation_run(banks: list[SlideBank], model: Model, seed: int = 0,
-                 quotas=(46, 11, 3)) -> dict:
+def ablation_run(banks: list[SlideBank], model: Model, cfg: TrainConfig) -> dict:
     """Evaluate the same trained parameters under each patch-selection
-    strategy; returns rows plus the parameter hash used for all of them."""
+    strategy, seeded by `cfg.seed`; returns rows plus the parameter hash used
+    for all of them."""
     labels = [b.label for b in banks]
     rows = []
     for strategy in STRATEGIES:
-        preds, probs, counts, wall = evaluate_strategy(banks, model, strategy, seed, quotas)
+        preds, probs, counts, wall = evaluate_strategy(banks, model, strategy, cfg, cfg.seed)
         try:
             macro, _ = auc_macro_ovr(probs, labels)
         except UndefinedAucError:
@@ -246,8 +246,6 @@ def graph_size_sweep(train_banks: list[SlideBank], test_banks: list[SlideBank],
     sizes = list(sizes)
     if sizes != sorted(sizes) or (sizes and sizes[0] < 1):
         raise InputError("sizes must be ascending and >= 1")
-    from .pipeline import train_e2e
-
     curve = []
     for size in sizes:
         model = model_factory()
@@ -255,7 +253,7 @@ def graph_size_sweep(train_banks: list[SlideBank], test_banks: list[SlideBank],
         train_e2e(train_banks, model, cfg)
         if refine is not None:
             refine(model, train_banks)
-        report = evaluate(test_banks, model, "lesion")
+        report = evaluate(test_banks, model, cfg)
         curve.append((size, report.accuracy))
     return curve
 

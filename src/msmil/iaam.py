@@ -9,18 +9,15 @@ cross-attention rows and gate values it used, and the logits. Training,
 inference and attention diagnostics all read that pass, so a diagnostic is
 always the one behind the prediction.
 
-The latent attention runs as one fused `nc.attention` op per head, which
-keeps no (N, N) array, so a layer's memory is linear in the bag size. The
+The latent attention runs as one fused `nc.attention` op, which keeps no
+(N, N) array, so a layer's memory is linear in the bag size. The
 cross attention keeps its matmul/softmax chain: its (queries, N) rows are the
 readout `IaamTrace` returns, and they are small.
 
 Fidelity notes, each locked by a brute-force oracle test:
-* the latent attention layer with heads=1 is exactly
+* the latent attention layer is exactly
   MLP(LayerNorm(A_low (T' W_value))) with A_low = softmax(Q_low K_low^T / sqrt(r)),
-  and has NO residual connection (a config flag adds one, default off);
-* with heads > 1 every head owns its rank-r query/key projections and a
-  column slice of the shared value projection; head outputs are
-  concatenated and merged by a learned square projection;
+  and has NO residual connection;
 * cross attention uses temperature sqrt(dim), not sqrt(rank);
 * coordinates are normalized to [0, 1] by slide size before the encoding
   layer; scale codes stay raw 0/1/2.
@@ -45,17 +42,13 @@ class RankError(Exception):
 class IaamConfig:
     dim: int = 64
     rank: int = 16
-    heads: int = 1          # 1 reproduces the published equations verbatim
     layers: int = 1
     queries: int = 10
     classes: int = 4
-    residual: bool = False  # optional skip around the latent-attention block
 
     def __post_init__(self):
         if self.rank < 1 or self.rank > self.dim:
             raise RankError(f"rank {self.rank} outside [1, dim={self.dim}]")
-        if self.heads < 1 or self.dim % self.heads:
-            raise ValueError(f"dim {self.dim} not divisible by {self.heads} heads")
         if self.queries < 1 or self.classes < 2 or self.layers < 1:
             raise ValueError("queries >= 1, classes >= 2, layers >= 1 required")
 
@@ -134,12 +127,10 @@ class IaamNet:
         store.new(f"{prefix}.fc_pos.b", np.zeros((1, d)))
         for l in range(cfg.layers):
             base = f"{prefix}.mla{l}"
-            for h in range(cfg.heads):
-                store.new(f"{base}.head{h}.q_low", uniform_init(rng, d, r, (d, r)))
-                store.new(f"{base}.head{h}.k_low", uniform_init(rng, d, r, (d, r)))
+            # "head0" keeps the names that existing params files use
+            store.new(f"{base}.head0.q_low", uniform_init(rng, d, r, (d, r)))
+            store.new(f"{base}.head0.k_low", uniform_init(rng, d, r, (d, r)))
             store.new(f"{base}.value", uniform_init(rng, d, d, (d, d)))
-            if cfg.heads > 1:
-                store.new(f"{base}.merge", uniform_init(rng, d, d, (d, d)))
             store.new(f"{base}.ln.g", np.ones((1, d)))
             store.new(f"{base}.ln.b", np.zeros((1, d)))
             store.new(f"{base}.mlp1.w", uniform_init(rng, d, 4 * d, (d, 4 * d)))
@@ -177,23 +168,14 @@ class IaamNet:
         return nc.add(nc.add(bag.features, fc), index_enc)
 
     def mla_layer(self, x: nc.Tensor, layer: int) -> nc.Tensor:
-        cfg = self.cfg
         base = f"mla{layer}"
         values = nc.matmul(x, self._p(f"{base}.value"))
-        head_dim = cfg.dim // cfg.heads
-        contexts = []
-        for h in range(cfg.heads):
-            q = nc.matmul(x, self._p(f"{base}.head{h}.q_low"))
-            k = nc.matmul(x, self._p(f"{base}.head{h}.k_low"))
-            v = values if cfg.heads == 1 else nc.slice_cols(values, h * head_dim, (h + 1) * head_dim)
-            contexts.append(nc.attention(q, k, v, 1.0 / np.sqrt(cfg.rank)))
-        ctx = contexts[0] if cfg.heads == 1 else nc.concat_cols(contexts)
-        if cfg.heads > 1:
-            ctx = nc.matmul(ctx, self._p(f"{base}.merge"))
+        q = nc.matmul(x, self._p(f"{base}.head0.q_low"))
+        k = nc.matmul(x, self._p(f"{base}.head0.k_low"))
+        ctx = nc.attention(q, k, values, 1.0 / np.sqrt(self.cfg.rank))
         normed = nc.layer_norm(ctx, self._p(f"{base}.ln.g"), self._p(f"{base}.ln.b"))
         hidden = nc.silu(nc.linear(normed, self._p(f"{base}.mlp1.w"), self._p(f"{base}.mlp1.b")))
-        out = nc.linear(hidden, self._p(f"{base}.mlp2.w"), self._p(f"{base}.mlp2.b"))
-        return nc.add(out, x) if cfg.residual else out
+        return nc.linear(hidden, self._p(f"{base}.mlp2.w"), self._p(f"{base}.mlp2.b"))
 
     def dmq_cross_attention(self, encoded: nc.Tensor) -> tuple[nc.Tensor, nc.Tensor]:
         """Refined query rows (queries, dim) and the attention (queries, N) behind them."""

@@ -7,7 +7,6 @@ from .engine import (
     add,
     attention,
     block_self_attention,
-    concat_cols,
     concat_rows,
     conv_unfold,
     cross_entropy,
@@ -33,7 +32,7 @@ from .rng import Rng
 
 __all__ = [
     "EngineError", "Graph", "LabelError", "ShapeError", "Tensor",
-    "add", "attention", "block_self_attention", "concat_cols", "concat_rows", "conv_unfold",
+    "add", "attention", "block_self_attention", "concat_rows", "conv_unfold",
     "cross_entropy", "gather_rows", "layer_norm", "linear", "matmul", "mul", "param",
     "record", "scale", "sigmoid", "silu",
     "slice_cols", "softmax_rows", "sum_all", "tensor",

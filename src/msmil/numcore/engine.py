@@ -177,18 +177,12 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise add; `b` may also be a (1, n) row broadcast over (m, n)."""
-    ad, bd = a.data, b.data
-    row_broadcast = bd.shape != ad.shape
-    if row_broadcast and not (bd.shape == (1, ad.shape[1]) and ad.ndim == 2):
-        raise ShapeError(f"add shape mismatch: {ad.shape} + {bd.shape}")
-    out = Tensor(ad + bd)
+    if a.data.shape != b.data.shape:
+        raise ShapeError(f"add shape mismatch: {a.data.shape} + {b.data.shape}")
+    out = Tensor(a.data + b.data)
 
     def vjp(g):
-        gb = None
-        if b.requires_grad:
-            gb = g.sum(axis=0, keepdims=True) if row_broadcast else g
-        return (g if a.requires_grad else None, gb)
+        return (g if a.requires_grad else None, g if b.requires_grad else None)
 
     _emit(out, (a, b), vjp)
     return out
@@ -361,21 +355,6 @@ def concat_rows(parts: Sequence[Tensor]) -> Tensor:
     def vjp(g):
         return tuple(
             g[offsets[i]:offsets[i + 1]] if p.requires_grad else None
-            for i, p in enumerate(parts)
-        )
-
-    _emit(out, tuple(parts), vjp)
-    return out
-
-
-def concat_cols(parts: Sequence[Tensor]) -> Tensor:
-    parts = list(parts)
-    out = Tensor(np.concatenate([p.data for p in parts], axis=1))
-    offsets = np.cumsum([0] + [p.data.shape[1] for p in parts])
-
-    def vjp(g):
-        return tuple(
-            g[:, offsets[i]:offsets[i + 1]] if p.requires_grad else None
             for i, p in enumerate(parts)
         )
 

@@ -154,7 +154,7 @@ def build_bank(record: SlideRecord, provider: MaskProvider, resize_side: int) ->
     image = record.image()
     lesion = run_sffm(image, provider)
     grid = full_grid(image.width, image.height)
-    pos = {(r.x, r.y, r.d_k): i for i, r in enumerate(grid)}
+    pos = {r: i for i, r in enumerate(grid)}
     patches = np.empty((len(grid), resize_side, resize_side, 3), dtype=np.float32)
     background = np.empty(len(grid), dtype=bool)
     # aligned crops resize to exact slices of whole-image box averages;
@@ -181,7 +181,7 @@ def build_bank(record: SlideRecord, provider: MaskProvider, resize_side: int) ->
             crop = crop_patch(image, ref)
             background[i] = bool((crop.mean(axis=(0, 1)) > BACKGROUND_MEAN).all())
             patches[i] = resize_patch(crop, resize_side)
-    lesion_idx = np.asarray([pos[(r.x, r.y, r.d_k)] for r in lesion.refs], dtype=np.int64)
+    lesion_idx = np.asarray([pos[r] for r in lesion.refs], dtype=np.int64)
     record.drop_cache()
     return SlideBank(record.ident, record.label, image.width, image.height,
                      grid, patches, background, lesion_idx, lesion_set=lesion)

@@ -1,14 +1,19 @@
-"""Semantic feature filtering: mask-space grid scan, red-fraction threshold,
-coordinate mapping back to base pixels, and multi-scale patch cropping.
+"""Semantic feature filtering: one walk over the scan grid of the 1024 mask,
+a red-fraction predicate on its windows, and multi-scale patch cropping.
+
+`_walk` is the only tiling. It yields each scan window with the base-pixel
+ref its center maps to; `full_grid` is the refs of every window and
+`run_sffm` the refs of the windows above the red threshold, so the filtered
+refs are always an ordered subsequence of the grid.
 
 Geometry conventions (all tested against a brute-force re-scan):
 * windows tile the 1024 mask non-overlapping, stride == window size d_k/s;
   positions accumulate in float, each window floors both bounds, and any
   window overflowing the mask is discarded (no padding);
-* retention is strictly greater than the threshold (exactly 0.7 rejects);
-* a kept window's float center (u, v) maps to base pixels via
-  x = floor(u*s1 + 0.5), y = floor(v*s2 + 0.5), and refs whose crop would
-  leave the base image are dropped.
+* a window's float center (u, v) maps to base pixels via
+  x = floor(u*s1 + 0.5), y = floor(v*s2 + 0.5), and windows whose crop would
+  leave the base image are dropped;
+* retention is strictly greater than the threshold (exactly 0.7 rejects).
 """
 
 from __future__ import annotations
@@ -69,16 +74,16 @@ class PatchRef:
 @dataclass
 class PatchSet:
     refs: list[PatchRef]
-    per_scale: tuple[int, int, int]
     slide_id: str = ""
 
     @property
     def total(self) -> int:
         return len(self.refs)
 
-    def __post_init__(self):
-        if sum(self.per_scale) != len(self.refs):
-            raise ValueError("per-scale tallies do not add up to the ref count")
+    @property
+    def per_scale(self) -> tuple[int, int, int]:
+        """Ref counts at 512, 1024 and 2048 px."""
+        return tuple(sum(r.d_k == side for r in self.refs) for side in SCALE_SIDES)
 
 
 class MaskProvider(Protocol):
@@ -94,9 +99,6 @@ class OracleMaskProvider:
 
     def __init__(self, masks: dict[str, LesionMask] | None = None):
         self._masks = dict(masks or {})
-
-    def add(self, ident: str, mask: LesionMask) -> None:
-        self._masks[ident] = mask
 
     def mask_for(self, ident: str) -> LesionMask:
         try:
@@ -121,79 +123,44 @@ class FileMaskProvider:
         return LesionMask(raster, provenance="file")
 
 
-def scan_grid(mask: LesionMask, s1: float, s2: float, d_k: int) -> list[tuple[int, int, int, int]]:
-    """Non-overlapping windows (x_lo, y_lo, x_hi, y_hi) in mask space."""
-    return _tile(mask.red.shape[0], s1, s2, d_k)
+def _spans(step: float) -> list[tuple[int, int]]:
+    """(lo, hi) of each whole window along one 1024 px mask axis."""
+    out = []
+    i = 0
+    while math.floor(i * step + step) <= THUMB_SIDE:
+        out.append((math.floor(i * step), math.floor(i * step + step)))
+        i += 1
+    return out
 
 
-def _tile(side: int, s1: float, s2: float, d_k: int) -> list[tuple[int, int, int, int]]:
-    """The windows of `scan_grid` over a side x side mask."""
-    w = d_k / s1
-    h = d_k / s2
-    if w < 1.0 or h < 1.0:
-        raise ResolutionError(
-            f"patch side {d_k} maps below one mask pixel (window {w:.3f}x{h:.3f})"
-        )
-
-    def positions(step: float):
-        out = []
-        i = 0
-        while True:
-            lo = math.floor(i * step)
-            hi = math.floor(i * step + step)
-            if hi > side:
-                break
-            out.append((lo, hi))
-            i += 1
-        return out
-
-    cols = positions(w)
-    rows = positions(h)
-    return [(x_lo, y_lo, x_hi, y_hi) for y_lo, y_hi in rows for x_lo, x_hi in cols]
+def _walk(width: int, height: int, scales: Iterable[int]):
+    """Yield (window, ref) for every scan window of the 1024 mask, in
+    (d_k ascending, y, x) order: the window (x_lo, y_lo, x_hi, y_hi) in mask
+    pixels and the ref its float center maps to. Windows whose crop would
+    leave the width x height image are skipped."""
+    s1 = width / THUMB_SIDE
+    s2 = height / THUMB_SIDE
+    for d_k in sorted(scales):
+        w = d_k / s1
+        h = d_k / s2
+        if w < 1.0 or h < 1.0:
+            raise ResolutionError(
+                f"patch side {d_k} maps below one mask pixel (window {w:.3f}x{h:.3f})"
+            )
+        code = scale_code_for(d_k)
+        cols = _spans(w)
+        for y_lo, y_hi in _spans(h):
+            y = math.floor((y_lo + y_hi) / 2.0 * s2 + 0.5)
+            for x_lo, x_hi in cols:
+                ref = PatchRef(math.floor((x_lo + x_hi) / 2.0 * s1 + 0.5), y, d_k, code)
+                if ref.in_bounds(width, height):
+                    yield (x_lo, y_lo, x_hi, y_hi), ref
 
 
 def red_fraction(mask: LesionMask, window: tuple[int, int, int, int]) -> float:
     x_lo, y_lo, x_hi, y_hi = window
     region = mask.red[y_lo:y_hi, x_lo:x_hi]
     return float(np.count_nonzero(region)) / region.size
-
-
-def window_to_ref(window: tuple[int, int, int, int], s1: float, s2: float, d_k: int,
-                  width: int, height: int) -> PatchRef | None:
-    """Map a mask-space window center to a base-pixel ref; None if the crop
-    would leave the image."""
-    x_lo, y_lo, x_hi, y_hi = window
-    u = (x_lo + x_hi) / 2.0
-    v = (y_lo + y_hi) / 2.0
-    ref = PatchRef(math.floor(u * s1 + 0.5), math.floor(v * s2 + 0.5), d_k, scale_code_for(d_k))
-    return ref if ref.in_bounds(width, height) else None
-
-
-def filter_and_map(
-    mask: LesionMask,
-    windows: Iterable[tuple[int, int, int, int]],
-    s1: float,
-    s2: float,
-    d_k: int,
-    width: int | None = None,
-    height: int | None = None,
-    threshold: float = RED_THRESHOLD,
-) -> list[PatchRef]:
-    """Keep windows strictly above the red threshold; map centers to base pixels."""
-    if not 0.0 < threshold < 1.0:
-        raise ValueError(f"threshold {threshold} outside (0, 1)")
-    if width is None:
-        width = round(s1 * THUMB_SIDE)
-    if height is None:
-        height = round(s2 * THUMB_SIDE)
-    refs = []
-    for window in windows:
-        if red_fraction(mask, window) <= threshold:
-            continue
-        ref = window_to_ref(window, s1, s2, d_k, width, height)
-        if ref is not None:
-            refs.append(ref)
-    return refs
 
 
 def crop_patch(image: PyramidImage, ref: PatchRef) -> np.ndarray:
@@ -210,36 +177,20 @@ def crop_patch(image: PyramidImage, ref: PatchRef) -> np.ndarray:
 def run_sffm(image: PyramidImage, provider: MaskProvider,
              scales: tuple[int, ...] = SCALE_SIDES,
              threshold: float = RED_THRESHOLD) -> PatchSet:
-    """Full filtering pass over the requested scales, deterministically ordered
-    by (d_k ascending, y ascending, x ascending)."""
+    """The grid refs whose mask window is strictly above the red threshold,
+    in `full_grid` order."""
+    if not 0.0 < threshold < 1.0:
+        raise ValueError(f"threshold {threshold} outside (0, 1)")
     mask = provider.mask_for(image.ident)
-    s1 = image.width / THUMB_SIDE
-    s2 = image.height / THUMB_SIDE
-    refs: list[PatchRef] = []
-    tallies = {side: 0 for side in SCALE_SIDES}
-    for d_k in sorted(scales):
-        windows = scan_grid(mask, s1, s2, d_k)
-        kept = filter_and_map(mask, windows, s1, s2, d_k, image.width, image.height, threshold)
-        kept.sort(key=lambda r: (r.y, r.x))
-        tallies[d_k] += len(kept)
-        refs.extend(kept)
-    per_scale = (tallies[512], tallies[1024], tallies[2048])
-    return PatchSet(refs, per_scale, slide_id=image.ident)
+    refs = [ref for window, ref in _walk(image.width, image.height, scales)
+            if red_fraction(mask, window) > threshold]
+    return PatchSet(refs, slide_id=image.ident)
 
 
 def full_grid(width: int, height: int, scales: tuple[int, ...] = SCALE_SIDES) -> list[PatchRef]:
-    """Every grid position of the scan tiling regardless of the mask, in
-    (d_k ascending, y, x) order. The lesion-filtered refs are always a
-    subset of these positions."""
-    s1 = width / THUMB_SIDE
-    s2 = height / THUMB_SIDE
-    refs = []
-    for d_k in sorted(scales):
-        for window in _tile(THUMB_SIDE, s1, s2, d_k):
-            ref = window_to_ref(window, s1, s2, d_k, width, height)
-            if ref is not None:
-                refs.append(ref)
-    return refs
+    """Every ref of the scan grid regardless of the mask, in (d_k ascending,
+    y, x) order."""
+    return [ref for _, ref in _walk(width, height, scales)]
 
 
 # ---------------------------------------------------------------- ref dumps

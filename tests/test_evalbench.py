@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import msmil.evalbench as evalbench
 import msmil.numcore as nc
 from msmil.evalbench import (
     InputError,
@@ -21,7 +22,7 @@ from msmil.evalbench import (
     write_curve,
     write_report,
 )
-from msmil.pipeline import EmptySlideError, TrainConfig, infer_bank, train_e2e
+from msmil.pipeline import EmptySlideError, TrainConfig, bag_from_bank, infer_bank, train_e2e
 from tests.conftest import fresh_tiny_model
 
 
@@ -174,7 +175,7 @@ def test_kfold_stratification_error_when_class_unlearnable(tiny_banks):
 
 def test_ablation_lesion_subset_of_all(tiny_banks):
     model = fresh_tiny_model(seed=7)
-    out = ablation_run(tiny_banks, model, seed=11)
+    out = ablation_run(tiny_banks, model, TrainConfig(seed=11))
     rows = {r["strategy"]: r for r in out["rows"]}
     for i in range(len(tiny_banks)):
         assert rows["lesion"]["patch_counts"][i] < rows["all"]["patch_counts"][i]
@@ -183,16 +184,32 @@ def test_ablation_lesion_subset_of_all(tiny_banks):
 
 def test_ablation_random_quotas_honored(tiny_banks):
     model = fresh_tiny_model(seed=7)
-    out = ablation_run(tiny_banks, model, seed=11, quotas=(10, 5, 2))
+    out = ablation_run(tiny_banks, model, TrainConfig(seed=11, random_quotas=(10, 5, 2)))
     rows = {r["strategy"]: r for r in out["rows"]}
     assert all(c == 17 for c in rows["random"]["patch_counts"])
 
 
 def test_evaluate_confusion_sums(tiny_banks):
     model = fresh_tiny_model(seed=7)
-    report = evaluate(tiny_banks, model)
+    report = evaluate(tiny_banks, model, TrainConfig())
     assert report.confusion.sum() == len(tiny_banks)
     assert report.accuracy == np.trace(report.confusion) / len(tiny_banks)
+
+
+def test_ablate_kfold_and_sweep_score_only_the_configured_scales(tiny_banks, monkeypatch):
+    seen = set()
+
+    def recording(bank, idx, model, features=None):
+        seen.update(bank.refs[i].d_k for i in idx)
+        return bag_from_bank(bank, idx, model, features)
+
+    monkeypatch.setattr(evalbench, "bag_from_bank", recording)
+    model = fresh_tiny_model(seed=7)
+    cfg = TrainConfig(instances_per_graph=2, lr=0.0, epochs=1, seed=11, scales=(2048,))
+    ablation_run(tiny_banks, model, cfg)
+    kfold_run(tiny_banks * 2, k=2, trainer=lambda banks, _cfg: model, cfg=cfg)
+    graph_size_sweep(tiny_banks, tiny_banks, [2], cfg, lambda: fresh_tiny_model(seed=7))
+    assert seen == {2048}
 
 
 # ------------------------------------------------------------------- sweep
@@ -201,13 +218,13 @@ def test_evaluate_confusion_sums(tiny_banks):
 def test_evaluate_shares_the_lesion_fallback_of_inference(tiny_banks):
     model = fresh_tiny_model()
     no_lesion = replace(tiny_banks[1], lesion_idx=np.zeros(0, dtype=np.int64))
-    _, probs, counts, _ = evaluate_strategy([no_lesion], model, "lesion")
+    _, probs, counts, _ = evaluate_strategy([no_lesion], model, "lesion", TrainConfig())
     result = infer_bank(no_lesion, model)
     assert result.fallback and counts == [result.patch_count]
     np.testing.assert_array_equal(probs[0], result.probabilities)
     all_background = replace(no_lesion, background=np.ones_like(no_lesion.background))
     with pytest.raises(EmptySlideError):
-        evaluate_strategy([all_background], model, "lesion")
+        evaluate_strategy([all_background], model, "lesion", TrainConfig())
 
 
 def test_sweep_validates_sizes(tiny_banks):

@@ -205,30 +205,6 @@ def test_mla_matches_brute_force_random():
         assert np.abs(out.data - expect).max() < 1e-10, f"trial {trial}"
 
 
-def test_mla_multi_head_concat_and_merge():
-    """Two heads: each head attends with its own rank-r projections over its
-    value slice; concatenation then the merge projection."""
-    d, r = 8, 3
-    cfg = IaamConfig(dim=d, rank=r, heads=2, queries=2, classes=2)
-    net, store = build_net(cfg, seed=21)
-    x = nc.Rng(23).normal(5 * d).reshape(5, d)
-    values = x @ store["mil.mla0.value"].data
-    ctx = np.zeros((5, d))
-    for h in range(2):
-        q = x @ store[f"mil.mla0.head{h}.q_low"].data
-        k = x @ store[f"mil.mla0.head{h}.k_low"].data
-        attn = softmax_np(q @ k.T / math.sqrt(r))
-        ctx[:, h * 4:(h + 1) * 4] = attn @ values[:, h * 4:(h + 1) * 4]
-    merged = ctx @ store["mil.mla0.merge"].data
-    g = store["mil.mla0.ln.g"].data[0]
-    b = store["mil.mla0.ln.b"].data[0]
-    normed = np.stack([(row - row.mean()) / math.sqrt(row.var() + 1e-5) * g + b for row in merged])
-    expect = silu_np(normed @ store["mil.mla0.mlp1.w"].data + store["mil.mla0.mlp1.b"].data) \
-        @ store["mil.mla0.mlp2.w"].data + store["mil.mla0.mlp2.b"].data
-    out = net.mla_layer(nc.tensor(x), 0)
-    np.testing.assert_allclose(out.data, expect, atol=1e-10)
-
-
 def test_mla_no_residual_by_default():
     cfg = IaamConfig(dim=4, rank=2, queries=2, classes=2)
     net, store = build_net(cfg, seed=31)
@@ -237,16 +213,6 @@ def test_mla_no_residual_by_default():
     x = nc.tensor(nc.Rng(37).normal(3 * 4).reshape(3, 4))
     out = net.mla_layer(x, 0)
     np.testing.assert_allclose(out.data, np.tile(store["mil.mla0.mlp2.b"].data, (3, 1)), atol=1e-14)
-
-
-def test_mla_residual_flag():
-    cfg = IaamConfig(dim=4, rank=2, queries=2, classes=2, residual=True)
-    net, store = build_net(cfg, seed=31)
-    for name in ("mlp1.w", "mlp2.w", "mlp2.b"):
-        store[f"mil.mla0.{name}"].data[...] = 0.0
-    x = nc.tensor(nc.Rng(37).normal(3 * 4).reshape(3, 4))
-    out = net.mla_layer(x, 0)
-    np.testing.assert_allclose(out.data, x.data, atol=1e-14)
 
 
 def test_rank_error():

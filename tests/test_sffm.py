@@ -10,16 +10,19 @@ from msmil.sffm import (
     FileMaskProvider,
     OracleMaskProvider,
     PatchRef,
+    PatchSet,
     ResolutionError,
+    _spans,
+    _walk,
     crop_patch,
-    filter_and_map,
+    full_grid,
     read_refs,
     red_fraction,
     run_sffm,
-    scan_grid,
     write_refs,
 )
-from msmil.synthwsi import LesionMask, PyramidImage, SynthSpec, generate_mask
+from msmil.pipeline import build_bank
+from msmil.synthwsi import LesionMask, PyramidImage, SlideRecord, SynthSpec, generate_mask
 
 
 def make_mask(red: np.ndarray) -> LesionMask:
@@ -53,31 +56,33 @@ def brute_force_refs(red, s1, s2, d_k, width, height, theta=0.7):
     return refs
 
 
-# ---------------------------------------------------------------- scan_grid
+# ---------------------------------------------------------------- scan grid
+
+
+def blank_image(width: int, height: int) -> PyramidImage:
+    return PyramidImage(np.full((height, width, 3), 180, dtype=np.uint8), ident="blank")
 
 
 def test_scan_grid_counts_at_s4():
-    mask = make_mask(np.ones((1024, 1024)))
-    assert len(scan_grid(mask, 4.0, 4.0, 512)) == 64
-    assert len(scan_grid(mask, 4.0, 4.0, 1024)) == 16
-    assert len(scan_grid(mask, 4.0, 4.0, 2048)) == 4
-    first = scan_grid(mask, 4.0, 4.0, 512)[0]
-    assert first == (0, 0, 128, 128)
+    assert PatchSet(full_grid(4096, 4096)).per_scale == (64, 16, 4)
+    window, ref = next(_walk(4096, 4096, (512,)))
+    assert window == (0, 0, 128, 128)
+    assert ref == PatchRef(256, 256, 512, 0)
 
 
 def test_scan_grid_discards_trailing_partial_window():
-    mask = make_mask(np.zeros((1024, 1024)))
-    # stride 1024/6 = 170.67: floor(5*170.67 + 170.67) = 1024 fits, 7th would overflow
-    windows = scan_grid(mask, 3.0, 3.0, 512)
-    xs = sorted({w[0] for w in windows})
-    assert all(w[2] <= 1024 and w[3] <= 1024 for w in windows)
-    assert len(xs) == 6
+    # 512 px at s = 3: stride 170.67, so a 7th window would end at 1194
+    step = 512 / 3
+    spans = _spans(step)
+    assert len(spans) == 6 and spans[-1][1] <= 1024 < math.floor(6 * step + step)
+    # the first 512 px column and row map to crops starting at -1 and are dropped too
+    assert PatchSet(full_grid(3072, 3072)).per_scale == (25, 9, 0)
+    assert all(w[2] <= 1024 and w[3] <= 1024 for w, _ in _walk(3072, 3072, (512, 1024, 2048)))
 
 
 def test_scan_grid_resolution_error():
-    mask = make_mask(np.zeros((1024, 1024)))
     with pytest.raises(ResolutionError):
-        scan_grid(mask, 600.0, 600.0, 512)
+        full_grid(600 * 1024, 4096)
 
 
 # ------------------------------------------------------------- red_fraction
@@ -97,45 +102,43 @@ def test_red_fraction_checkerboard_is_half():
     assert red_fraction(mask, (0, 0, 128, 128)) == 0.5
 
 
-# ----------------------------------------------------------- filter_and_map
+# -------------------------------------------------------- the red predicate
 
 
 def test_exact_threshold_is_rejected():
+    image = blank_image(3072, 3072)
+    window = (512, 512, 682, 682)  # a 512 px scan window at s = 3: 170 x 170 = 28,900 px
+    assert window in [w for w, _ in _walk(3072, 3072, (512,))]
     red = np.zeros((1024, 1024))
-    red[300:307, 300:310] = 1  # exactly 70 of 100 px in the 10x10 window
+    red[512:682, 512:682].flat[:20230] = 1  # exactly 0.7
     mask = make_mask(red)
-    window = (300, 300, 310, 310)
     assert red_fraction(mask, window) == 0.7
-    assert filter_and_map(mask, [window], 4.0, 4.0, 512) == []
-    red[307, 300] = 1  # 71 px: strictly above
-    mask = make_mask(red)
-    kept = filter_and_map(mask, [window], 4.0, 4.0, 512)
-    assert len(kept) == 1
-    assert (kept[0].x, kept[0].y) == (1220, 1220)
+    assert run_sffm(image, OracleMaskProvider({"blank": mask})).refs == []
+    red[512:682, 512:682].flat[20230] = 1  # 20,231 px: strictly above
+    kept = run_sffm(image, OracleMaskProvider({"blank": make_mask(red)})).refs
+    assert kept == [PatchRef(1791, 1791, 512, 0)]
 
 
-def test_fully_red_mask_maps_to_expected_centers():
-    mask = make_mask(np.ones((1024, 1024)))
-    windows = scan_grid(mask, 4.0, 4.0, 512)
-    refs = filter_and_map(mask, windows, 4.0, 4.0, 512)
+def test_fully_red_mask_maps_to_expected_centers(blank_image_4096):
+    provider = OracleMaskProvider({"blank": make_mask(np.ones((1024, 1024)))})
+    refs = run_sffm(blank_image_4096, provider, scales=(512,)).refs
     assert len(refs) == 64
     centers = {(r.x, r.y) for r in refs}
     assert centers == {(256 + 512 * i, 256 + 512 * j) for i in range(8) for j in range(8)}
     assert all(r.scale_code == 0 for r in refs)
 
 
-def test_empty_mask_keeps_nothing():
-    mask = make_mask(np.zeros((1024, 1024)))
-    windows = scan_grid(mask, 4.0, 4.0, 1024)
-    assert filter_and_map(mask, windows, 4.0, 4.0, 1024) == []
+def test_empty_mask_keeps_nothing(blank_image_4096):
+    provider = OracleMaskProvider({"blank": make_mask(np.zeros((1024, 1024)))})
+    assert run_sffm(blank_image_4096, provider, scales=(1024,)).refs == []
 
 
 def test_border_overflow_refs_are_discarded():
-    # fully red mask but a tiny base image: 2048 crops cannot fit anywhere
-    mask = make_mask(np.ones((1024, 1024)))
-    windows = scan_grid(mask, 1.0, 1.0, 2048)
-    refs = filter_and_map(mask, windows, 1.0, 1.0, 2048, width=1024, height=1024)
-    assert refs == []
+    # fully red mask, but at s = 3 the one 2048 px window's crop starts at -1
+    image = blank_image(3072, 3072)
+    assert _spans(2048 / 3) == [(0, 682)]
+    provider = OracleMaskProvider({"blank": make_mask(np.ones((1024, 1024)))})
+    assert run_sffm(image, provider, scales=(2048,)).refs == []
 
 
 # --------------------------------------------------------------- crop_patch
@@ -214,6 +217,18 @@ def test_file_provider_matches_oracle(tmp_path, c4_spec, c4_slides):
     assert ps_a.refs == ps_b.refs
 
 
+@pytest.mark.parametrize("width,height", [(3072, 3072), (4096, 4096), (2048, 6144)])
+def test_lesion_refs_are_an_ordered_subsequence_of_the_grid(width, height):
+    image = blank_image(width, height)
+    provider = OracleMaskProvider({"blank": make_mask(random_blobby_mask(Rng(width + height)))})
+    lesion = run_sffm(image, provider).refs
+    grid = iter(full_grid(width, height))
+    assert lesion and all(ref in grid for ref in lesion)
+    bank = build_bank(SlideRecord("blank", 0, width, height, 0, _image=image), provider, 8)
+    assert len(bank.lesion_idx) == len(lesion)
+    assert (np.diff(bank.lesion_idx) > 0).all()
+
+
 # --------------------------------------------------- brute-force properties
 
 
@@ -232,11 +247,9 @@ def random_blobby_mask(rng: Rng) -> np.ndarray:
 
 def test_retained_set_equals_brute_force_50_random_masks(blank_image_4096):
     rng = Rng(1234)
-    provider = OracleMaskProvider()
     for trial in range(50):
         red = random_blobby_mask(rng)
-        provider.add("blank", make_mask(red))
-        ps = run_sffm(blank_image_4096, provider)
+        ps = run_sffm(blank_image_4096, OracleMaskProvider({"blank": make_mask(red)}))
         for d_k in (512, 1024, 2048):
             got = [(r.x, r.y, r.d_k) for r in ps.refs if r.d_k == d_k]
             want = brute_force_refs(red, 4.0, 4.0, d_k, 4096, 4096)
@@ -245,9 +258,8 @@ def test_retained_set_equals_brute_force_50_random_masks(blank_image_4096):
 
 def test_all_emitted_refs_are_croppable(blank_image_4096):
     rng = Rng(777)
-    provider = OracleMaskProvider()
     for _ in range(20):
-        provider.add("blank", make_mask(random_blobby_mask(rng)))
+        provider = OracleMaskProvider({"blank": make_mask(random_blobby_mask(rng))})
         ps = run_sffm(blank_image_4096, provider)
         for ref in ps.refs:
             patch = crop_patch(blank_image_4096, ref)
@@ -256,14 +268,11 @@ def test_all_emitted_refs_are_croppable(blank_image_4096):
 
 def test_growing_red_region_never_removes_refs(blank_image_4096):
     rng = Rng(555)
-    provider = OracleMaskProvider()
     red = random_blobby_mask(rng)
-    provider.add("blank", make_mask(red))
-    before = set(run_sffm(blank_image_4096, provider).refs)
+    before = set(run_sffm(blank_image_4096, OracleMaskProvider({"blank": make_mask(red)})).refs)
     grown = red.copy()
     grown[200:600, 100:800] = 1
-    provider.add("blank", make_mask(grown))
-    after = set(run_sffm(blank_image_4096, provider).refs)
+    after = set(run_sffm(blank_image_4096, OracleMaskProvider({"blank": make_mask(grown)})).refs)
     assert before <= after
 
 
@@ -271,11 +280,9 @@ def test_growing_red_region_never_removes_refs(blank_image_4096):
 def test_lesion_fraction_economy(blank_image_4096, fraction):
     """Retained/total grid ratio tracks the lesion fraction within +/-0.15."""
     spec = SynthSpec(lesion_fraction=fraction)
-    provider = OracleMaskProvider()
     grid_total = 64 + 16 + 4
     for seed in (41, 42, 43):
-        provider.add("blank", generate_mask(spec, seed))
-        ps = run_sffm(blank_image_4096, provider)
+        ps = run_sffm(blank_image_4096, OracleMaskProvider({"blank": generate_mask(spec, seed)}))
         ratio = ps.total / grid_total
         assert fraction - 0.15 <= ratio <= fraction + 0.15, (fraction, seed, ratio)
 

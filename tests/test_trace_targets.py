@@ -2,14 +2,7 @@
 Deleting or renaming one of those names breaks the benchmark, so check here
 that every target exists, gets wrapped, and is restored afterwards."""
 
-import sys
-from pathlib import Path
-
-ROOT = Path(__file__).resolve().parent.parent
-if str(ROOT) not in sys.path:
-    sys.path.insert(0, str(ROOT))
-
-from perfbench.trace import Tracer, _targets  # noqa: E402
+from perfbench.trace import Tracer, _targets
 
 
 def test_tracer_wraps_every_target_and_restores_it():
