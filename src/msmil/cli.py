@@ -14,7 +14,8 @@ patch. ``probs`` holds one space-separated probability per class, printed at
 round-trip precision: each token parses with ``float()`` to exactly the value
 ``infer_bank`` returned, so the printed values sum to 1 as that softmax does.
 
-Exit codes: 0 success, 2 I/O failure, 3 missing input, 4 numeric failure
+Exit codes: 0 success, 2 I/O failure, 3 missing input (including a slide
+with no usable patch at the configured scales), 4 numeric failure
 (divergence), 5 configuration error.
 """
 
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import fields, replace
+from dataclasses import fields
 from pathlib import Path
 
 from .evalbench import (
@@ -53,7 +54,6 @@ from .pipeline import (
     infer_bank,
     oracle_provider,
     read_cache,
-    refine_mil,
     train_e2e,
     train_full,
     train_mil_stage2,
@@ -92,7 +92,6 @@ _DEFAULTS = {"model.seed": 1}
 _DEFAULTS.update({f"{section}.{f.name}": f.default
                   for section, cls in _SECTIONS for f in fields(cls)
                   if f"{section}.{f.name}" not in _DERIVED})
-_DEFAULTS.update({"train.stage2_epochs": 0, "train.stage2_lr": 0.05})
 
 
 def _parser_for(default):
@@ -219,8 +218,7 @@ def cmd_train(args) -> int:
         cache = read_cache(Path(args.cache))
         labels = {rec.ident: rec.label for rec in dataset.slides}
         dims = {rec.ident: (rec.width, rec.height) for rec in dataset.slides}
-        s2 = replace(train_cfg, stage="mil_only")
-        manifest = train_mil_stage2(cache, labels, model, s2, dims)
+        manifest = train_mil_stage2(cache, labels, model, train_cfg, dims)
     else:
         provider = _provider(dataset, args.mask)
         banks = build_banks(dataset, provider, enc_cfg.input_side)
@@ -248,6 +246,12 @@ def _load_model_for(dataset, conf, params_path):
     return model, enc_cfg, mil_cfg, train_cfg
 
 
+def _trainer(enc_cfg, mil_cfg, conf):
+    """`trainer(banks, cfg) -> Model` for `kfold_run` and `graph_size_sweep`:
+    the whole training protocol on a fresh model seeded by `model.seed`."""
+    return lambda banks, cfg: train_full(banks, enc_cfg, mil_cfg, cfg, conf["model.seed"])
+
+
 def cmd_infer(args) -> int:
     conf = load_run_config(args.config, args.set)
     dataset = _load_dataset(args.dataset)
@@ -271,13 +275,7 @@ def cmd_eval(args) -> int:
     banks = build_banks(dataset, provider, enc_cfg.input_side)
     out = Path(args.out) if args.out else None
     if args.kfold:
-        def trainer(train_banks, cfg):
-            trained, _ = train_full(train_banks, enc_cfg, mil_cfg, cfg, conf["model.seed"],
-                                    stage2_epochs=conf["train.stage2_epochs"],
-                                    stage2_lr=conf["train.stage2_lr"])
-            return trained
-
-        summary = kfold_run(banks, args.kfold, trainer, train_cfg)
+        summary = kfold_run(banks, args.kfold, _trainer(enc_cfg, mil_cfg, conf), train_cfg)
         print(f"accuracy {summary['accuracy_mean']:.4f} +/- {summary['accuracy_sd']:.4f}  "
               f"auc {summary['auc_mean']:.4f} +/- {summary['auc_sd']:.4f}")
         if out:
@@ -327,15 +325,8 @@ def cmd_sweep(args) -> int:
     banks = build_banks(dataset, provider, enc_cfg.input_side)
     split = max(1, int(len(banks) * (1.0 - args.holdout)))
     train_banks, test_banks = banks[:split], banks[split:] or banks
-
-    def factory():
-        return build_model(enc_cfg, mil_cfg, conf["model.seed"])
-
-    def refine(model, tb):
-        refine_mil(tb, model, train_cfg, conf["train.stage2_epochs"], conf["train.stage2_lr"])
-
-    curve = graph_size_sweep(train_banks, test_banks, sizes, train_cfg, factory,
-                             refine if conf["train.stage2_epochs"] > 0 else None)
+    curve = graph_size_sweep(train_banks, test_banks, sizes, train_cfg,
+                             _trainer(enc_cfg, mil_cfg, conf))
     for b, acc in curve:
         print(f"{b} {acc:.4f}")
     if args.out:
@@ -421,13 +412,13 @@ def main(argv=None) -> int:
             StratificationError, InputError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    except (FileNotFoundError, CoverageError) as e:
+    except (FileNotFoundError, CoverageError, EmptySlideError) as e:
         print(f"missing input: {e}", file=sys.stderr)
         return EXIT_MISSING
     except (DivergenceError, UndefinedAucError) as e:
         print(f"numeric failure: {e}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (PpmError, ParamFormatError, CacheFormatError, EmptySlideError, OSError) as e:
+    except (PpmError, ParamFormatError, CacheFormatError, OSError) as e:
         print(f"io error: {e}", file=sys.stderr)
         return EXIT_IO
 

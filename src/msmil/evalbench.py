@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import numcore as nc
-from .pipeline import Model, SlideBank, TrainConfig, bag_from_bank, select_batch, train_e2e
+from .pipeline import Model, SlideBank, TrainConfig, bag_from_bank, select_batch
 
 
 class InputError(Exception):
@@ -35,11 +35,9 @@ class StratificationError(Exception):
 class EvalReport:
     accuracy: float
     auc_macro: float
-    per_class_auc: list[float]
     confusion: np.ndarray
     patch_counts: list[int]
     wall_ms: float
-    pooled_fallback: bool = False
 
 
 def accuracy(preds, labels) -> float:
@@ -128,13 +126,11 @@ def evaluate(banks: list[SlideBank], model: Model, cfg: TrainConfig,
     confusion = np.zeros((n_classes, n_classes), dtype=np.int64)
     for t, p in zip(labels, preds):
         confusion[t, p] += 1
-    pooled_fallback = False
     try:
-        macro, per_class = auc_macro_ovr(probs, labels)
+        macro, _ = auc_macro_ovr(probs, labels)
     except UndefinedAucError:
-        macro, per_class, pooled_fallback = float("nan"), [], True
-    return EvalReport(accuracy(preds, labels), macro, per_class, confusion,
-                      counts, wall, pooled_fallback)
+        macro = float("nan")
+    return EvalReport(accuracy(preds, labels), macro, confusion, counts, wall)
 
 
 # ------------------------------------------------------------------ k-fold
@@ -216,21 +212,16 @@ def ablation_run(banks: list[SlideBank], model: Model, cfg: TrainConfig) -> dict
     """Evaluate the same trained parameters under each patch-selection
     strategy, seeded by `cfg.seed`; returns rows plus the parameter hash used
     for all of them."""
-    labels = [b.label for b in banks]
     rows = []
     for strategy in STRATEGIES:
-        preds, probs, counts, wall = evaluate_strategy(banks, model, strategy, cfg, cfg.seed)
-        try:
-            macro, _ = auc_macro_ovr(probs, labels)
-        except UndefinedAucError:
-            macro = float("nan")
+        report = evaluate(banks, model, cfg, strategy, cfg.seed)
         rows.append({
             "strategy": strategy,
-            "accuracy": accuracy(preds, labels),
-            "auc": macro,
-            "mean_patches": float(np.mean(counts)),
-            "patch_counts": counts,
-            "wall_ms": wall,
+            "accuracy": report.accuracy,
+            "auc": report.auc_macro,
+            "mean_patches": float(np.mean(report.patch_counts)),
+            "patch_counts": report.patch_counts,
+            "wall_ms": report.wall_ms,
         })
     return {"rows": rows, "params_hash": model.store.content_hash()}
 
@@ -239,20 +230,17 @@ def ablation_run(banks: list[SlideBank], model: Model, cfg: TrainConfig) -> dict
 
 
 def graph_size_sweep(train_banks: list[SlideBank], test_banks: list[SlideBank],
-                     sizes, base_cfg: TrainConfig, model_factory,
-                     refine=None) -> list[tuple[int, float]]:
-    """Independent end-to-end trainings per graph size; optional MIL
-    refinement after each; accuracy measured on the held-out banks."""
+                     sizes, base_cfg: TrainConfig, trainer) -> list[tuple[int, float]]:
+    """One independent training per graph size via `trainer(train_banks, cfg)
+    -> Model`, the interface `kfold_run` uses; accuracy measured on the
+    held-out banks."""
     sizes = list(sizes)
     if sizes != sorted(sizes) or (sizes and sizes[0] < 1):
         raise InputError("sizes must be ascending and >= 1")
     curve = []
     for size in sizes:
-        model = model_factory()
         cfg = replace(base_cfg, instances_per_graph=size)
-        train_e2e(train_banks, model, cfg)
-        if refine is not None:
-            refine(model, train_banks)
+        model = trainer(train_banks, cfg)
         report = evaluate(test_banks, model, cfg)
         curve.append((size, report.accuracy))
     return curve

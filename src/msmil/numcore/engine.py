@@ -375,19 +375,13 @@ def slice_cols(a: Tensor, c0: int, c1: int) -> Tensor:
 
 
 def gather_rows(a: Tensor, index) -> Tensor:
-    """Row gather; index entries of -1 produce zero rows (used for padding)."""
+    """Row gather; a row may repeat, and its gradients add up."""
     idx = np.asarray(index, dtype=np.int64)
-    safe = np.clip(idx, 0, None)
-    out_data = a.data[safe]
-    if (idx < 0).any():
-        out_data = out_data.copy()
-        out_data[idx < 0] = 0.0
-    out = Tensor(out_data)
+    out = Tensor(a.data[idx])
 
     def vjp(g):
         ga = np.zeros_like(a.data)
-        valid = idx >= 0
-        np.add.at(ga, idx[valid], g[valid])
+        np.add.at(ga, idx, g)
         return (ga,)
 
     _emit(out, (a,), vjp)

@@ -5,10 +5,12 @@ patch encoding through the attention network and the loss, so gradients
 reach both parameter groups (the end-to-end coupling this build exists to
 demonstrate). Stage two freezes the encoder by construction: it trains the
 attention network on cached feature files in which patches are constants.
-Both stages run the same epoch schedule (`_Epochs`): slide order, batch
-streams, divergence check and manifest entries. A non-finite loss, or a
-finite loss with a non-finite gradient, stops training before it reaches
-the parameters.
+The whole recipe is one `TrainConfig`: `train_full` runs `epochs` of joint
+training at `lr`, then `stage2_epochs` of refinement at `stage2_lr` (none
+by default). Both stages run the same epoch schedule (`_Epochs`): slide
+order, batch streams, divergence check and manifest entries. A non-finite
+loss, or a finite loss with a non-finite gradient, stops training before it
+reaches the parameters.
 
 Per-slide crops are resized once into an in-memory bank; crops are pure
 functions of the slide, so the cache changes nothing observable.
@@ -70,6 +72,8 @@ class TrainConfig:
     patch_source: str = "all_nonbackground"
     scales: tuple[int, ...] = SCALE_SIDES
     random_quotas: tuple[int, int, int] = (46, 11, 3)  # 20x/10x/5x, desk scale
+    stage2_epochs: int = 0                  # cached-feature refinement after e2e
+    stage2_lr: float = 0.05
 
     def __post_init__(self):
         if self.instances_per_graph < 1:
@@ -247,7 +251,6 @@ class _Epochs:
         self.cfg = cfg
         self.params = params
         self.manifest: dict = {"stage": stage, "slides": len(labels)}
-        self.manifest.update(config_echo(cfg))
         self.result: tuple[float, int] | None = None
 
     def done(self, loss: float, pred: int) -> None:
@@ -321,19 +324,6 @@ def train_e2e(banks: list[SlideBank], model: Model, cfg: TrainConfig) -> dict:
     for pos, rng in epochs:
         epochs.done(*e2e_train_step(banks[pos], model, opt, cfg, rng))
     return epochs.manifest
-
-
-def config_echo(cfg: TrainConfig) -> dict:
-    return {
-        "instances_per_graph": cfg.instances_per_graph,
-        "lr": cfg.lr,
-        "epochs": cfg.epochs,
-        "accum_steps": cfg.accum_steps,
-        "seed": cfg.seed,
-        "patch_source": cfg.patch_source,
-        "scales": ",".join(str(s) for s in cfg.scales),
-        "random_quotas": ",".join(str(q) for q in cfg.random_quotas),
-    }
 
 
 # ---------------------------------------------------------- feature cache
@@ -476,14 +466,14 @@ def train_mil_stage2(cache: FeatureCache, labels: dict[str, int], model: Model,
     return epochs.manifest
 
 
-def refine_mil(banks: list[SlideBank], model: Model, cfg: TrainConfig,
-               epochs: int, lr: float) -> dict:
+def refine_mil(banks: list[SlideBank], model: Model, cfg: TrainConfig) -> dict:
     """Stage two of the protocol: cache the trained encoder's features of
-    `banks`, then train the attention network alone on them."""
+    `banks`, then train the attention network alone on them for
+    `cfg.stage2_epochs` at `cfg.stage2_lr`."""
     cache = cache_features(banks, model, scales=cfg.scales)
     labels = {b.ident: b.label for b in banks}
     dims = {b.ident: (b.width, b.height) for b in banks}
-    s2_cfg = replace(cfg, epochs=epochs, lr=lr, stage="mil_only")
+    s2_cfg = replace(cfg, epochs=cfg.stage2_epochs, lr=cfg.stage2_lr)
     return train_mil_stage2(cache, labels, model, s2_cfg, dims)
 
 
@@ -527,14 +517,12 @@ def oracle_provider(dataset: Dataset):
 
 
 def train_full(banks: list[SlideBank], encoder_cfg: EncoderConfig, mil_cfg: IaamConfig,
-               cfg: TrainConfig, model_seed: int,
-               stage2_epochs: int = 0, stage2_lr: float | None = None) -> tuple[Model, dict]:
-    """Joint training, then optional cached-feature refinement of the
-    attention network (the two-stage protocol)."""
+               cfg: TrainConfig, model_seed: int) -> Model:
+    """The training protocol on a fresh model: joint training, then
+    cached-feature refinement of the attention network when
+    `cfg.stage2_epochs` > 0."""
     model = build_model(encoder_cfg, mil_cfg, model_seed)
-    manifest = train_e2e(banks, model, cfg)
-    if stage2_epochs > 0:
-        s2_manifest = refine_mil(banks, model, cfg, stage2_epochs,
-                                 cfg.lr if stage2_lr is None else stage2_lr)
-        manifest.update({f"stage2_{k}": v for k, v in s2_manifest.items()})
-    return model, manifest
+    train_e2e(banks, model, cfg)
+    if cfg.stage2_epochs > 0:
+        refine_mil(banks, model, cfg)
+    return model

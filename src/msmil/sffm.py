@@ -74,7 +74,6 @@ class PatchRef:
 @dataclass
 class PatchSet:
     refs: list[PatchRef]
-    slide_id: str = ""
 
     @property
     def total(self) -> int:
@@ -87,15 +86,11 @@ class PatchSet:
 
 
 class MaskProvider(Protocol):
-    kind: str
-
     def mask_for(self, ident: str) -> LesionMask: ...
 
 
 class OracleMaskProvider:
     """Serves generator ground-truth masks by slide identity."""
-
-    kind = "oracle"
 
     def __init__(self, masks: dict[str, LesionMask] | None = None):
         self._masks = dict(masks or {})
@@ -110,8 +105,6 @@ class OracleMaskProvider:
 class FileMaskProvider:
     """Reads <root>/<ident>/mask.ppm; any value >= 128 counts as set."""
 
-    kind = "file"
-
     def __init__(self, root: Path):
         self.root = Path(root)
 
@@ -120,7 +113,7 @@ class FileMaskProvider:
         if not path.exists():
             raise CoverageError(f"no mask file at {path}")
         raster = (read_ppm(path) >= 128).astype(np.uint8)
-        return LesionMask(raster, provenance="file")
+        return LesionMask(raster)
 
 
 def _spans(step: float) -> list[tuple[int, int]]:
@@ -171,7 +164,7 @@ def crop_patch(image: PyramidImage, ref: PatchRef) -> np.ndarray:
             f"{image.width}x{image.height} image"
         )
     y0, y1, x0, x1 = ref.bounds()
-    return image.crop(y0, y1, x0, x1)
+    return image.base[y0:y1, x0:x1].copy()
 
 
 def run_sffm(image: PyramidImage, provider: MaskProvider,
@@ -184,7 +177,7 @@ def run_sffm(image: PyramidImage, provider: MaskProvider,
     mask = provider.mask_for(image.ident)
     refs = [ref for window, ref in _walk(image.width, image.height, scales)
             if red_fraction(mask, window) > threshold]
-    return PatchSet(refs, slide_id=image.ident)
+    return PatchSet(refs)
 
 
 def full_grid(width: int, height: int, scales: tuple[int, ...] = SCALE_SIDES) -> list[PatchRef]:

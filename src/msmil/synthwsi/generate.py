@@ -140,7 +140,7 @@ def generate_mask(spec: SynthSpec, seed: int) -> LesionMask:
     foot = _footprint(spec, Rng(seed).child(1))
     raster = np.zeros((THUMB_SIDE, THUMB_SIDE, 3), dtype=np.uint8)
     raster[:, :, 0] = foot
-    return LesionMask(raster, provenance="oracle")
+    return LesionMask(raster)
 
 
 def _sign_pattern(kind: str, spec: SynthSpec, h: int, w: int, phase_y: int, phase_x: int):
@@ -165,23 +165,23 @@ def _sign_pattern(kind: str, spec: SynthSpec, h: int, w: int, phase_y: int, phas
     raise ValueError(kind)
 
 
-def generate_wsi(spec: SynthSpec, label: int, seed: int) -> tuple[PyramidImage, LesionMask, int]:
-    """Pure function of (spec, label, seed); see the module docstring for the signal."""
+def generate_wsi(spec: SynthSpec, label: int, seed: int) -> tuple[PyramidImage, LesionMask]:
+    """Pure function of (spec, label, seed); see the module docstring for the
+    signal. The lesion footprint is the red channel of `generate_mask(spec, seed)`."""
     if not 0 <= label < spec.classes:
         raise SpecError(f"label {label} out of range for {spec.classes} classes")
     h, w = spec.height, spec.width
     root = Rng(seed)
-    geometry = root.child(1)
     noise_stream = root.child(2)
     phase_stream = root.child(3)
     # drawn unconditionally so stream positions never depend on the label
     phase_y = phase_stream.integers(0, 2)
     phase_x = phase_stream.integers(0, 2)
 
-    foot_mask = _footprint(spec, geometry)
+    mask = generate_mask(spec, seed)
     fy = np.arange(h) * THUMB_SIDE // h
     fx = np.arange(w) * THUMB_SIDE // w
-    foot = foot_mask[fy[:, None], fx[None, :]]
+    foot = mask.red[fy[:, None], fx[None, :]]
 
     micro_kind, macro_kind = spec.traits(label)
     micro = _sign_pattern(micro_kind, spec, h, w, phase_y, phase_x)
@@ -199,10 +199,7 @@ def generate_wsi(spec: SynthSpec, label: int, seed: int) -> tuple[PyramidImage, 
         noise -= spec.noise
         chan = np.where(foot, _LESION[c] + lesion_signal, np.int16(_STROMA[c]))
         img[:, :, c] = np.clip(chan + noise, 0, 255).astype(np.uint8)
-
-    raster = np.zeros((THUMB_SIDE, THUMB_SIDE, 3), dtype=np.uint8)
-    raster[:, :, 0] = foot_mask
-    return PyramidImage(img), LesionMask(raster, provenance="oracle"), label
+    return PyramidImage(img), mask
 
 
 # --------------------------------------------------------- dataset on disk
@@ -256,7 +253,7 @@ def _generate_slides(spec: SynthSpec, n_slides: int, seed: int):
     for i in range(n_slides):
         label = i % spec.classes
         s_seed = slide_seed(seed, i)
-        image, mask, _ = generate_wsi(spec, label, s_seed)
+        image, mask = generate_wsi(spec, label, s_seed)
         yield f"slide_{i:04d}", label, s_seed, image, mask
 
 

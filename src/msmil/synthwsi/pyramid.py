@@ -12,10 +12,6 @@ LEVEL_FACTORS = (1, 2, 4, 8, 16)
 THUMB_SIDE = 1024
 
 
-class SizeError(Exception):
-    pass
-
-
 class PyramidImage:
     """Base raster plus lazily derived box-filtered levels.
 
@@ -46,21 +42,12 @@ class PyramidImage:
             self._levels[factor] = to_uint8(box_downscale(self.base, factor, factor))
         return self._levels[factor]
 
-    def crop(self, y0: int, y1: int, x0: int, x1: int) -> np.ndarray:
-        """Level-0 pixel copy of the half-open window; out of bounds is an error."""
-        if y0 < 0 or x0 < 0 or y1 > self.height or x1 > self.width or y0 >= y1 or x0 >= x1:
-            raise SizeError(
-                f"crop [{y0}:{y1}, {x0}:{x1}] leaves the {self.height}x{self.width} image"
-            )
-        return self.base[y0:y1, x0:x1].copy()
-
 
 @dataclass
 class LesionMask:
     """1024x1024x3 binary raster; the red channel marks lesion."""
 
     raster: np.ndarray
-    provenance: str = "oracle"
 
     def __post_init__(self):
         r = np.asarray(self.raster)

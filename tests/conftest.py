@@ -53,7 +53,7 @@ def c4_slides(c4_spec):
     """One generated slide per class, shared across the suite (generation is ~3 s each)."""
     out = {}
     for label in range(4):
-        img, mask, _ = generate_wsi(c4_spec, label, 9000 + label)
+        img, mask = generate_wsi(c4_spec, label, 9000 + label)
         img.ident = f"fix_{label}"
         out[label] = (img, mask, label)
     return out

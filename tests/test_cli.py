@@ -1,9 +1,13 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
-from msmil.cli import main
+from msmil.cli import _DEFAULTS, _DERIVED, main
+from msmil.iaam import IaamConfig
+from msmil.msfem import EncoderConfig
 from msmil.paramio import read_params
-from msmil.pipeline import FeatureCache, build_model, read_cache, write_cache
+from msmil.pipeline import FeatureCache, TrainConfig, build_model, read_cache, write_cache
 from msmil.synthwsi import read_manifest, read_ppm, write_ppm
 from tests.conftest import tiny_model_config
 
@@ -177,6 +181,14 @@ def test_unknown_config_key_exit_5(cli_dataset, tmp_path):
     assert rc == 5
 
 
+def test_every_config_key_but_the_model_seed_is_a_config_field():
+    field_keys = {f"{section}.{f.name}"
+                  for section, cls in (("enc", EncoderConfig), ("mil", IaamConfig), ("train", TrainConfig))
+                  for f in fields(cls)}
+    assert set(_DEFAULTS) - {"model.seed"} == field_keys - set(_DERIVED)
+    assert len(_DEFAULTS) == 19
+
+
 def test_config_file_precedence(cli_dataset, tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("train.epochs=1\ntrain.lr=0.0\ntrain.seed=33\n")
@@ -191,6 +203,20 @@ def test_config_file_precedence(cli_dataset, tmp_path, capsys):
 
 def test_missing_dataset_exit_3(tmp_path):
     assert main(["eval", "--dataset", str(tmp_path / "missing"), "--params", "x"]) == 3
+
+
+def test_slide_with_no_usable_patch_exit_3(cli_trained, tmp_path, capsys):
+    root = tmp_path / "small"
+    assert main(["generate", "--out", str(root), "--slides", "1", "--width", "1024",
+                 "--height", "1024", "--seed", "3"]) == 0
+    capsys.readouterr()
+    # a 2048 px crop fits nowhere on a 1024 px slide
+    rc = main(["infer", "--dataset", str(root), "--slide", "slide_0000",
+               "--params", str(cli_trained / "params.msmp"), *TINY_SETS, "--set", "train.scales=2048"])
+    assert rc == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "missing input: slide slide_0000 has no usable patches\n"
 
 
 def test_corrupt_ppm_exit_2(cli_dataset, tmp_path):

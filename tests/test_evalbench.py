@@ -22,8 +22,14 @@ from msmil.evalbench import (
     write_curve,
     write_report,
 )
-from msmil.pipeline import EmptySlideError, TrainConfig, bag_from_bank, infer_bank, train_e2e
-from tests.conftest import fresh_tiny_model
+from msmil.pipeline import EmptySlideError, TrainConfig, bag_from_bank, infer_bank, train_full
+from tests.conftest import fresh_tiny_model, tiny_model_config
+
+
+def tiny_trainer(seed):
+    """The protocol's trainer on the tiny model: `train_full` from `seed`."""
+    enc, mil = tiny_model_config()
+    return lambda banks, cfg: train_full(banks, enc, mil, cfg, seed)
 
 
 def pair_count_auc(scores, positive):
@@ -208,7 +214,7 @@ def test_ablate_kfold_and_sweep_score_only_the_configured_scales(tiny_banks, mon
     cfg = TrainConfig(instances_per_graph=2, lr=0.0, epochs=1, seed=11, scales=(2048,))
     ablation_run(tiny_banks, model, cfg)
     kfold_run(tiny_banks * 2, k=2, trainer=lambda banks, _cfg: model, cfg=cfg)
-    graph_size_sweep(tiny_banks, tiny_banks, [2], cfg, lambda: fresh_tiny_model(seed=7))
+    graph_size_sweep(tiny_banks, tiny_banks, [2], cfg, tiny_trainer(7))
     assert seen == {2048}
 
 
@@ -229,17 +235,15 @@ def test_evaluate_shares_the_lesion_fallback_of_inference(tiny_banks):
 
 def test_sweep_validates_sizes(tiny_banks):
     with pytest.raises(InputError):
-        graph_size_sweep(tiny_banks, tiny_banks, [8, 4], TrainConfig(), fresh_tiny_model)
+        graph_size_sweep(tiny_banks, tiny_banks, [8, 4], TrainConfig(), tiny_trainer(5))
 
 
 def test_sweep_runs_independent_trainings(tiny_banks):
     cfg = TrainConfig(instances_per_graph=4, lr=0.02, epochs=1, seed=31, patch_source="lesion_only")
-    curve = graph_size_sweep(tiny_banks, tiny_banks, [1, 4], cfg,
-                             lambda: fresh_tiny_model(seed=33))
+    curve = graph_size_sweep(tiny_banks, tiny_banks, [1, 4], cfg, tiny_trainer(33))
     assert [b for b, _ in curve] == [1, 4]
     assert all(0.0 <= acc <= 1.0 for _, acc in curve)
-    curve2 = graph_size_sweep(tiny_banks, tiny_banks, [1, 4], cfg,
-                              lambda: fresh_tiny_model(seed=33))
+    curve2 = graph_size_sweep(tiny_banks, tiny_banks, [1, 4], cfg, tiny_trainer(33))
     assert curve == curve2
 
 

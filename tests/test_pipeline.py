@@ -23,12 +23,13 @@ from msmil.pipeline import (
     select_batch,
     sidecar_path,
     train_e2e,
+    train_full,
     train_mil_stage2,
     write_cache,
 )
 from msmil.sffm import OracleMaskProvider
 from msmil.synthwsi import LesionMask
-from tests.conftest import TINY_SIDE, fresh_tiny_model
+from tests.conftest import TINY_SIDE, fresh_tiny_model, tiny_model_config
 
 
 # ------------------------------------------------------------ select_batch
@@ -244,6 +245,19 @@ def test_stage2_rejects_empty_cache():
     cfg = TrainConfig(stage="mil_only")
     with pytest.raises(CacheFormatError):
         train_mil_stage2(FeatureCache(np.zeros((0, 24), dtype=np.float32), []), {}, model, cfg, {})
+
+
+def test_train_full_refinement_moves_only_the_attention_network(tiny_banks):
+    enc, mil = tiny_model_config()
+    cfg = TrainConfig(instances_per_graph=4, lr=0.02, epochs=1, seed=9, patch_source="lesion_only")
+    e2e_only = train_full(tiny_banks, enc, mil, cfg, model_seed=3).store.copy_values()
+    refined = train_full(tiny_banks, enc, mil, replace(cfg, stage2_epochs=1, stage2_lr=0.05),
+                         model_seed=3).store.copy_values()
+    assert e2e_only.keys() == refined.keys()
+    for name, arr in e2e_only.items():
+        if name.startswith("enc."):
+            assert refined[name].tobytes() == arr.tobytes(), name
+    assert any(not np.array_equal(refined[n], e2e_only[n]) for n in e2e_only if n.startswith("mil."))
 
 
 # ---------------------------------------------------------------- inference
