@@ -6,6 +6,8 @@ byte-exact: write(read(x)) == x for any 8-bit raster.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 
 
@@ -15,7 +17,7 @@ class PpmError(Exception):
         self.offset = offset
 
 
-def _next_token(buf: bytes, pos: int) -> tuple[bytes, int]:
+def _next_token(buf: bytearray, pos: int) -> tuple[bytes, int]:
     n = len(buf)
     while pos < n:
         c = buf[pos:pos + 1]
@@ -31,14 +33,20 @@ def _next_token(buf: bytes, pos: int) -> tuple[bytes, int]:
     start = pos
     while pos < n and not buf[pos:pos + 1].isspace():
         pos += 1
-    return buf[start:pos], pos
+    return bytes(buf[start:pos]), pos
 
 
 def read_ppm(path) -> np.ndarray:
+    """Read a P6 raster as a writeable (H, W, 3) uint8 view of the file's bytes.
+
+    The file is read once into a buffer of its size and the array is a view
+    of it past the header, so the raster is held in memory once.
+    """
     with open(path, "rb") as fh:
-        buf = fh.read()
+        buf = bytearray(os.fstat(fh.fileno()).st_size)
+        del buf[fh.readinto(buf):]
     if buf[:2] != b"P6":
-        raise PpmError(f"not a P6 file (magic {buf[:2]!r})", 0)
+        raise PpmError(f"not a P6 file (magic {bytes(buf[:2])!r})", 0)
     pos = 2
     fields = []
     for _ in range(3):
@@ -58,7 +66,7 @@ def read_ppm(path) -> np.ndarray:
         raise PpmError(f"truncated raster: need {need} bytes, have {have}", len(buf))
     if have > need:
         raise PpmError(f"{have - need} trailing bytes after the raster", pos + need)
-    return np.frombuffer(buf, dtype=np.uint8, offset=pos).reshape(height, width, 3).copy()
+    return np.frombuffer(buf, dtype=np.uint8, offset=pos).reshape(height, width, 3)
 
 
 def write_ppm(raster: np.ndarray, path) -> None:

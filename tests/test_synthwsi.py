@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -205,6 +207,32 @@ def test_ppm_bad_header_token(tmp_path):
     path.write_bytes(b"P6\nxx 2\n255\n")
     with pytest.raises(PpmError):
         read_ppm(path)
+
+
+def test_ppm_header_errors_quote_the_bytes_read(tmp_path):
+    path = tmp_path / "bad.ppm"
+    path.write_bytes(b"P5\n2 2\n255\n" + bytes(12))
+    with pytest.raises(PpmError, match=r"^not a P6 file \(magic b'P5'\) \(byte offset 0\)$"):
+        read_ppm(path)
+    path.write_bytes(b"P6\nxx 2\n255\n")
+    with pytest.raises(PpmError, match=r"^expected integer, got b'xx' \(byte offset 3\)$"):
+        read_ppm(path)
+
+
+def test_ppm_read_holds_the_raster_once(tmp_path):
+    raster = np.random.default_rng(4).integers(0, 256, size=(1024, 1024, 3), dtype=np.uint8)
+    path = tmp_path / "slide.ppm"
+    write_ppm(raster, path)
+    size = path.stat().st_size
+    tracemalloc.start()
+    try:
+        again = read_ppm(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_array_equal(again, raster)
+    assert again.flags.writeable
+    assert peak <= size + (1 << 20), f"peak {peak} bytes for a {size}-byte file"
 
 
 # ------------------------------------------------------------ dataset io
