@@ -14,9 +14,18 @@ patch. ``probs`` holds one space-separated probability per class, printed at
 round-trip precision: each token parses with ``float()`` to exactly the value
 ``infer_bank`` returned, so the printed values sum to 1 as that softmax does.
 
+``train`` runs the whole protocol: ``train.epochs`` of end-to-end training
+at ``train.lr``, then ``train.stage2_epochs`` (default 0) of attention-only
+refinement at ``train.stage2_lr`` on cached features; manifest entries of
+the refinement carry a ``stage2.`` prefix. ``train --stage mil_only --cache
+F`` runs the refinement alone, on the same two keys (stage2_epochs >= 1).
+``eval --kfold`` and ``sweep`` train a fresh model per fold or size, so
+``--kfold`` takes no ``--params``. ``sweep --holdout`` is the held-out share
+of the slides: 0 < holdout < 1, leaving at least one held-out slide.
+
 Exit codes: 0 success, 2 I/O failure, 3 missing input (including a slide
 with no usable patch at the configured scales), 4 numeric failure
-(divergence), 5 configuration error.
+(divergence, or features that overflow float32), 5 configuration error.
 """
 
 from __future__ import annotations
@@ -46,6 +55,7 @@ from .pipeline import (
     CacheFormatError,
     DivergenceError,
     EmptySlideError,
+    NonFiniteFeatureError,
     TrainConfig,
     build_bank,
     build_banks,
@@ -54,7 +64,6 @@ from .pipeline import (
     infer_bank,
     oracle_provider,
     read_cache,
-    train_e2e,
     train_full,
     train_mil_stage2,
     write_cache,
@@ -94,21 +103,14 @@ _DEFAULTS.update({f"{section}.{f.name}": f.default
                   if f"{section}.{f.name}" not in _DERIVED})
 
 
-def _parser_for(default):
-    if isinstance(default, tuple):
-        return _csv_ints
-    if isinstance(default, bool):
-        return lambda text: str(text).lower() in ("1", "true", "yes")
-    return type(default)
-
-
 def load_run_config(config_path: str | None, sets: list[str] | None) -> dict:
     conf = dict(_DEFAULTS)
 
     def apply(key: str, raw: str, origin: str):
         if key not in conf:
             raise CliConfigError(f"unknown config key {key!r} ({origin})")
-        parser = _parser_for(_DEFAULTS[key])
+        default = _DEFAULTS[key]
+        parser = _csv_ints if isinstance(default, tuple) else type(default)
         try:
             conf[key] = parser(raw)
         except ValueError as e:
@@ -212,17 +214,20 @@ def cmd_train(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     if args.stage == "mil_only" and not args.cache:
         raise CliConfigError("--stage mil_only requires --cache")
+    if args.stage == "mil_only" and conf["train.stage2_epochs"] < 1:
+        raise CliConfigError("--stage mil_only needs train.stage2_epochs >= 1, "
+                             f"got {conf['train.stage2_epochs']}")
     model, enc_cfg, _, train_cfg = _load_model_for(dataset, conf, args.init_params)
 
     if args.stage == "mil_only":
         cache = read_cache(Path(args.cache))
         labels = {rec.ident: rec.label for rec in dataset.slides}
         dims = {rec.ident: (rec.width, rec.height) for rec in dataset.slides}
-        manifest = train_mil_stage2(cache, labels, model, train_cfg, dims)
+        manifest = train_mil_stage2(cache, labels, model, train_cfg.stage2(), dims)
     else:
         provider = _provider(dataset, args.mask)
         banks = build_banks(dataset, provider, enc_cfg.input_side)
-        manifest = train_e2e(banks, model, train_cfg)
+        manifest = train_full(banks, model, train_cfg)
         cache = cache_features(banks, model, scales=train_cfg.scales)
         write_cache(cache, out / "features.msml")
 
@@ -249,7 +254,11 @@ def _load_model_for(dataset, conf, params_path):
 def _trainer(enc_cfg, mil_cfg, conf):
     """`trainer(banks, cfg) -> Model` for `kfold_run` and `graph_size_sweep`:
     the whole training protocol on a fresh model seeded by `model.seed`."""
-    return lambda banks, cfg: train_full(banks, enc_cfg, mil_cfg, cfg, conf["model.seed"])
+    def train(banks, cfg):
+        model = build_model(enc_cfg, mil_cfg, conf["model.seed"])
+        train_full(banks, model, cfg)
+        return model
+    return train
 
 
 def cmd_infer(args) -> int:
@@ -271,10 +280,12 @@ def cmd_eval(args) -> int:
     conf = load_run_config(args.config, args.set)
     dataset = _load_dataset(args.dataset)
     provider = _provider(dataset, args.mask)
-    model, enc_cfg, mil_cfg, train_cfg = _load_model_for(dataset, conf, args.params)
-    banks = build_banks(dataset, provider, enc_cfg.input_side)
     out = Path(args.out) if args.out else None
     if args.kfold:
+        if args.params is not None:
+            raise CliConfigError("--kfold trains a fresh model per fold and takes no --params")
+        enc_cfg, mil_cfg, train_cfg = configs_from(conf, dataset.spec.classes)
+        banks = build_banks(dataset, provider, enc_cfg.input_side)
         summary = kfold_run(banks, args.kfold, _trainer(enc_cfg, mil_cfg, conf), train_cfg)
         print(f"accuracy {summary['accuracy_mean']:.4f} +/- {summary['accuracy_sd']:.4f}  "
               f"auc {summary['auc_mean']:.4f} +/- {summary['auc_sd']:.4f}")
@@ -285,6 +296,8 @@ def cmd_eval(args) -> int:
             entries["fold_sizes"] = ",".join(str(s) for s in summary["fold_sizes"])
             write_report(out, entries)
         return 0
+    model, enc_cfg, _, train_cfg = _load_model_for(dataset, conf, args.params)
+    banks = build_banks(dataset, provider, enc_cfg.input_side)
     report = evaluate(banks, model, train_cfg, args.strategy)
     print(f"accuracy {report.accuracy:.4f}  auc {report.auc_macro:.4f}  "
           f"slides {len(banks)}  wall_ms {report.wall_ms:.0f}")
@@ -320,11 +333,13 @@ def cmd_sweep(args) -> int:
     conf = load_run_config(args.config, args.set)
     sizes = list(_csv_ints(args.sizes))
     dataset = _load_dataset(args.dataset)
+    split = max(1, int(len(dataset.slides) * (1.0 - args.holdout))) if 0 < args.holdout < 1 else 0
+    if not 0 < split < len(dataset.slides):
+        raise CliConfigError(f"--holdout {args.holdout} is not in (0, 1) or leaves no held-out slide")
     provider = _provider(dataset, args.mask)
     enc_cfg, mil_cfg, train_cfg = configs_from(conf, dataset.spec.classes)
     banks = build_banks(dataset, provider, enc_cfg.input_side)
-    split = max(1, int(len(banks) * (1.0 - args.holdout)))
-    train_banks, test_banks = banks[:split], banks[split:] or banks
+    train_banks, test_banks = banks[:split], banks[split:]
     curve = graph_size_sweep(train_banks, test_banks, sizes, train_cfg,
                              _trainer(enc_cfg, mil_cfg, conf))
     for b, acc in curve:
@@ -367,7 +382,7 @@ def _build_parser() -> _Parser:
     flt.add_argument("--out", default=None)
     flt.set_defaults(func=cmd_filter)
 
-    trn = sub.add_parser("train", help="train (e2e or cached-feature refinement)")
+    trn = sub.add_parser("train", help="train: the whole protocol, or the refinement alone")
     common(trn)
     trn.add_argument("--stage", choices=("e2e", "mil_only"), default="e2e")
     trn.add_argument("--out", required=True)
@@ -415,7 +430,7 @@ def main(argv=None) -> int:
     except (FileNotFoundError, CoverageError, EmptySlideError) as e:
         print(f"missing input: {e}", file=sys.stderr)
         return EXIT_MISSING
-    except (DivergenceError, UndefinedAucError) as e:
+    except (DivergenceError, NonFiniteFeatureError, UndefinedAucError) as e:
         print(f"numeric failure: {e}", file=sys.stderr)
         return EXIT_NUMERIC
     except (PpmError, ParamFormatError, CacheFormatError, OSError) as e:

@@ -151,9 +151,6 @@ class IaamNet:
     def _p(self, name: str) -> nc.Tensor:
         return self.store[f"{self.prefix}.{name}"]
 
-    def parameters(self) -> list[nc.Tensor]:
-        return self.store.subset(self.prefix + ".")
-
     # -------------------------------------------------------------- stages
 
     def inject_encodings(self, bag: Bag) -> nc.Tensor:

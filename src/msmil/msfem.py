@@ -180,6 +180,3 @@ class PatchEncoder:
         x = nc.tensor(resized.reshape(batch * side * side, 3) / 255.0)
         feats = self.conv_trunk(x, batch)
         return self.summarize(feats, batch)
-
-    def parameters(self) -> list[nc.Tensor]:
-        return self.store.subset(self.prefix + ".")

@@ -5,12 +5,13 @@ patch encoding through the attention network and the loss, so gradients
 reach both parameter groups (the end-to-end coupling this build exists to
 demonstrate). Stage two freezes the encoder by construction: it trains the
 attention network on cached feature files in which patches are constants.
-The whole recipe is one `TrainConfig`: `train_full` runs `epochs` of joint
-training at `lr`, then `stage2_epochs` of refinement at `stage2_lr` (none
-by default). Both stages run the same epoch schedule (`_Epochs`): slide
-order, batch streams, divergence check and manifest entries. A non-finite
-loss, or a finite loss with a non-finite gradient, stops training before it
-reaches the parameters.
+The whole recipe is one `TrainConfig`, and `train_full` its one trainer:
+`epochs` of joint training at `lr`, then `stage2_epochs` of refinement at
+`stage2_lr` (none by default), the schedule `TrainConfig.stage2()` maps.
+Both stages run the same epoch schedule (`_Epochs`): slide order, batch
+streams, divergence check and manifest entries. A non-finite loss, or a
+finite loss with a non-finite gradient, stops training before it reaches
+the parameters; a feature not finite as float32 never reaches a cache.
 
 Per-slide crops are resized once into an in-memory bank; crops are pure
 functions of the slide, so the cache changes nothing observable.
@@ -58,6 +59,10 @@ class CacheFormatError(Exception):
     pass
 
 
+class NonFiniteFeatureError(Exception):
+    pass
+
+
 PATCH_SOURCES = ("all_nonbackground", "lesion_only", "random_k")
 
 
@@ -85,6 +90,11 @@ class TrainConfig:
         if any(s not in SCALE_SIDES for s in self.scales) or not self.scales:
             raise ValueError(f"scales must be a non-empty subset of {SCALE_SIDES}")
 
+    def stage2(self) -> TrainConfig:
+        """The refinement's schedule: `stage2_epochs` at `stage2_lr`, in the
+        `epochs` and `lr` that `train_mil_stage2` reads."""
+        return replace(self, epochs=self.stage2_epochs, lr=self.stage2_lr)
+
 
 @dataclass
 class Model:
@@ -93,12 +103,6 @@ class Model:
     store: ParamStore
     encoder_cfg: EncoderConfig
     mil_cfg: IaamConfig
-
-    def extractor_params(self) -> list[nc.Tensor]:
-        return self.store.subset("enc.")
-
-    def mil_params(self) -> list[nc.Tensor]:
-        return self.store.subset("mil.")
 
 
 def build_model(encoder_cfg: EncoderConfig, mil_cfg: IaamConfig, seed: int) -> Model:
@@ -222,13 +226,11 @@ def select_batch(bank: SlideBank, source: str, batch: int, rng: nc.Rng,
     return idx[np.sort(pick)]
 
 
-def bag_from_bank(bank: SlideBank, idx: np.ndarray, model: Model,
-                  features: nc.Tensor | None = None) -> Bag:
+def bag_from_bank(bank: SlideBank, idx: np.ndarray, model: Model) -> Bag:
     refs = [bank.refs[i] for i in idx]
     coords = np.asarray([(r.x, r.y) for r in refs], dtype=np.int64)
     scales = np.asarray([r.scale_code for r in refs], dtype=np.int64)
-    if features is None:
-        features = model.encoder.extract_batch(bank.patches[idx].astype(np.float64))
+    features = model.encoder.extract_batch(bank.patches[idx].astype(np.float64))
     return Bag(features, coords, scales, bank.width, bank.height, label=bank.label)
 
 
@@ -363,7 +365,7 @@ def cache_features(banks: list[SlideBank], model: Model,
                    scales: tuple[int, ...] = SCALE_SIDES) -> FeatureCache:
     """Inference-mode extraction (no graph); rows follow slide id then
     filter order. Values are stored as 32-bit floats (relative downcast
-    error bounded by 2**-24)."""
+    error bounded by 2**-24); one that overflows them is refused."""
     rows = []
     sidecar = []
     for bank in sorted(banks, key=lambda b: b.ident):
@@ -371,7 +373,10 @@ def cache_features(banks: list[SlideBank], model: Model,
         if len(idx) == 0:
             continue
         feats = model.encoder.extract_batch(bank.patches[idx].astype(np.float64))
-        rows.append(feats.data.astype(np.float32))
+        with np.errstate(over="ignore"):
+            rows.append(feats.data.astype(np.float32))
+        if not np.isfinite(rows[-1]).all():
+            raise NonFiniteFeatureError(f"slide {bank.ident}: features not finite as float32")
         for i in idx:
             r = bank.refs[i]
             sidecar.append((bank.ident, r.x, r.y, r.d_k, r.scale_code))
@@ -438,7 +443,7 @@ def train_mil_stage2(cache: FeatureCache, labels: dict[str, int], model: Model,
         raise CacheFormatError(f"cache slide {unknown[0]!r} has no label or no slide size")
     if cache.dim != model.mil_cfg.dim:
         raise CacheFormatError(f"cache features have dim {cache.dim}, the model wants {model.mil_cfg.dim}")
-    opt = nc.GradAccumSgd(model.mil_params(), lr=cfg.lr, accum_steps=cfg.accum_steps)
+    opt = nc.GradAccumSgd(model.store.subset("mil."), lr=cfg.lr, accum_steps=cfg.accum_steps)
     epochs = _Epochs("mil_only", [labels[ident] for ident in idents], cfg, opt.params)
     # coordinates and scale codes of each slide, built once for every epoch
     layout = {}
@@ -464,17 +469,6 @@ def train_mil_stage2(cache: FeatureCache, labels: dict[str, int], model: Model,
         _update(graph, loss, opt)
         epochs.done(loss.item(), int(np.argmax(logits.data)))
     return epochs.manifest
-
-
-def refine_mil(banks: list[SlideBank], model: Model, cfg: TrainConfig) -> dict:
-    """Stage two of the protocol: cache the trained encoder's features of
-    `banks`, then train the attention network alone on them for
-    `cfg.stage2_epochs` at `cfg.stage2_lr`."""
-    cache = cache_features(banks, model, scales=cfg.scales)
-    labels = {b.ident: b.label for b in banks}
-    dims = {b.ident: (b.width, b.height) for b in banks}
-    s2_cfg = replace(cfg, epochs=cfg.stage2_epochs, lr=cfg.stage2_lr)
-    return train_mil_stage2(cache, labels, model, s2_cfg, dims)
 
 
 # ---------------------------------------------------------------- inference
@@ -516,13 +510,16 @@ def oracle_provider(dataset: Dataset):
     return OracleMaskProvider(masks)
 
 
-def train_full(banks: list[SlideBank], encoder_cfg: EncoderConfig, mil_cfg: IaamConfig,
-               cfg: TrainConfig, model_seed: int) -> Model:
-    """The training protocol on a fresh model: joint training, then
-    cached-feature refinement of the attention network when
-    `cfg.stage2_epochs` > 0."""
-    model = build_model(encoder_cfg, mil_cfg, model_seed)
-    train_e2e(banks, model, cfg)
+def train_full(banks: list[SlideBank], model: Model, cfg: TrainConfig) -> dict:
+    """The training protocol, in place on `model`: joint training, then,
+    when `cfg.stage2_epochs` > 0, refinement of the attention network on
+    the trained encoder's cached features of `banks`. Returns the joint
+    stage's manifest with the refinement's entries under `stage2.`."""
+    manifest = train_e2e(banks, model, cfg)
     if cfg.stage2_epochs > 0:
-        refine_mil(banks, model, cfg)
-    return model
+        cache = cache_features(banks, model, scales=cfg.scales)
+        labels = {b.ident: b.label for b in banks}
+        dims = {b.ident: (b.width, b.height) for b in banks}
+        refined = train_mil_stage2(cache, labels, model, cfg.stage2(), dims)
+        manifest.update({f"stage2.{k}": v for k, v in refined.items()})
+    return manifest

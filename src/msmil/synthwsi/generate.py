@@ -235,13 +235,6 @@ class Dataset:
     slides: list[SlideRecord]
     root: Path | None = None
 
-    @property
-    def caps(self) -> dict[int, float]:
-        return single_scale_caps(self.spec)
-
-    def labels(self) -> list[int]:
-        return [s.label for s in self.slides]
-
 
 def slide_seed(dataset_seed: int, index: int) -> int:
     return Rng(dataset_seed).child(index).u64()

@@ -1,4 +1,4 @@
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -6,9 +6,18 @@ import pytest
 from msmil.cli import _DEFAULTS, _DERIVED, main
 from msmil.iaam import IaamConfig
 from msmil.msfem import EncoderConfig
-from msmil.paramio import read_params
-from msmil.pipeline import FeatureCache, TrainConfig, build_model, read_cache, write_cache
-from msmil.synthwsi import read_manifest, read_ppm, write_ppm
+from msmil.paramio import read_params, write_params
+from msmil.pipeline import (
+    FeatureCache,
+    TrainConfig,
+    build_banks,
+    build_model,
+    oracle_provider,
+    read_cache,
+    train_full,
+    write_cache,
+)
+from msmil.synthwsi import load_dataset, read_manifest, read_ppm, write_ppm
 from tests.conftest import tiny_model_config
 
 TINY_SETS = [
@@ -142,7 +151,8 @@ def test_train_stage_chaining_and_manifest(cli_dataset, tmp_path, capsys):
     run2 = tmp_path / "run2"
     rc = main(["train", "--dataset", str(cli_dataset), "--out", str(run2),
                "--stage", "mil_only", "--cache", str(run1 / "features.msml"),
-               "--init-params", str(run1 / "params.msmp"), "--seed", "11", *TINY_SETS])
+               "--init-params", str(run1 / "params.msmp"), "--seed", "11", *TINY_SETS,
+               "--set", "train.stage2_epochs=1"])
     assert rc == 0
     m2 = read_manifest(run2 / "manifest.txt")
     assert m2["stage"] == "mil_only"
@@ -173,6 +183,67 @@ def test_train_mil_only_without_cache_exit_5(cli_dataset, tmp_path):
     rc = main(["train", "--dataset", str(cli_dataset), "--out", str(tmp_path / "x"),
                "--stage", "mil_only", *TINY_SETS])
     assert rc == 5
+
+
+def test_train_mil_only_without_stage2_epochs_exit_5(cli_dataset, cli_trained, tmp_path, capsys):
+    """The refinement alone trains for `train.stage2_epochs`: at 0 it would
+    be a silent no-op, so it is a config error naming that key."""
+    out = tmp_path / "s2"
+    capsys.readouterr()
+    rc = main(["train", "--dataset", str(cli_dataset), "--out", str(out), "--stage", "mil_only",
+               "--cache", str(cli_trained / "features.msml"), *TINY_SETS,
+               "--set", "train.epochs=3"])
+    assert rc == 5
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "train.stage2_epochs" in err
+    assert not (out / "params.msmp").exists()
+
+
+def test_train_runs_the_whole_protocol_like_the_library(cli_dataset, tmp_path):
+    """`msmil train` is `build_model` plus `train_full`: the refinement
+    moves only the attention network, and its manifest entries carry the
+    `stage2.` prefix."""
+    out = tmp_path / "full"
+    rc = main(["train", "--dataset", str(cli_dataset), "--out", str(out), "--seed", "11",
+               *TINY_SETS, "--set", "train.stage2_epochs=2"])
+    assert rc == 0
+    dataset = load_dataset(cli_dataset)
+    banks = build_banks(dataset, oracle_provider(dataset), 32)
+    enc, mil = tiny_model_config()
+    cfg = TrainConfig(epochs=1, instances_per_graph=6, patch_source="lesion_only", seed=11,
+                      stage2_epochs=2)
+    refined = build_model(enc, mil, seed=1)  # model.seed default 1
+    train_full(banks, refined, cfg)
+    write_params(refined.store, tmp_path / "library.msmp")
+    assert (out / "params.msmp").read_bytes() == (tmp_path / "library.msmp").read_bytes()
+
+    e2e_only = build_model(enc, mil, seed=1)
+    train_full(banks, e2e_only, replace(cfg, stage2_epochs=0))
+    cli = read_params(out / "params.msmp")
+    for name, arr in e2e_only.store.copy_values().items():
+        if name.startswith("enc."):
+            assert cli[name].tobytes() == arr.tobytes(), name
+    assert any(not np.array_equal(cli[n], arr)
+               for n, arr in e2e_only.store.copy_values().items() if n.startswith("mil."))
+    manifest = read_manifest(out / "manifest.txt")
+    assert manifest["stage"] == "e2e" and manifest["stage2.stage"] == "mil_only"
+    assert "stage2.epoch1_loss" in manifest and manifest["stage2.steps"] == "8"
+
+
+def test_train_refuses_features_not_finite_as_float32_exit_4(cli_dataset, tmp_path, capsys):
+    """Params whose features overflow float32 write no cache and no params."""
+    enc, mil = tiny_model_config()
+    model = build_model(enc, mil, seed=1)
+    model.store["enc.proj.w"].data *= 1e40
+    write_params(model.store, tmp_path / "huge.msmp")
+    out = tmp_path / "run"
+    capsys.readouterr()
+    rc = main(["train", "--dataset", str(cli_dataset), "--out", str(out),
+               "--init-params", str(tmp_path / "huge.msmp"), *TINY_SETS, "--set", "train.epochs=0"])
+    assert rc == 4
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "slide_0000" in err and "float32" in err
+    assert list(out.iterdir()) == []
 
 
 def test_unknown_config_key_exit_5(cli_dataset, tmp_path):
@@ -273,7 +344,7 @@ def test_train_mil_only_nan_cache_exit_4(cli_dataset, cli_trained, tmp_path):
     write_cache(FeatureCache(np.full_like(cache.rows, np.nan), cache.sidecar), poisoned)
     out = tmp_path / "s2"
     rc = main(["train", "--dataset", str(cli_dataset), "--out", str(out), "--stage", "mil_only",
-               "--cache", str(poisoned), *TINY_SETS])
+               "--cache", str(poisoned), *TINY_SETS, "--set", "train.stage2_epochs=1"])
     assert rc == 4
     assert not (out / "params.msmp").exists()
 
@@ -281,7 +352,8 @@ def test_train_mil_only_nan_cache_exit_4(cli_dataset, cli_trained, tmp_path):
 def test_train_inf_gradient_exit_4(cli_dataset, cli_trained, tmp_path, inf_gradient_loss):
     out = tmp_path / "s2"
     rc = main(["train", "--dataset", str(cli_dataset), "--out", str(out), "--stage", "mil_only",
-               "--cache", str(cli_trained / "features.msml"), *TINY_SETS])
+               "--cache", str(cli_trained / "features.msml"), *TINY_SETS,
+               "--set", "train.stage2_epochs=1"])
     assert rc == 4
     assert not (out / "params.msmp").exists()
 
@@ -294,7 +366,8 @@ def test_train_mil_only_cache_of_another_dataset_exit_2(cli_dataset, cli_trained
     out = tmp_path / "s2"
     capsys.readouterr()
     rc = main(["train", "--dataset", str(cli_dataset), "--out", str(out), "--stage", "mil_only",
-               "--cache", str(tmp_path / "foreign.msml"), *TINY_SETS])
+               "--cache", str(tmp_path / "foreign.msml"), *TINY_SETS,
+               "--set", "train.stage2_epochs=1"])
     assert rc == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "'slide_0099'" in err
@@ -306,7 +379,7 @@ def test_train_mil_only_cache_of_another_width_exit_2(cli_dataset, cli_trained, 
     capsys.readouterr()
     rc = main(["train", "--dataset", str(cli_dataset), "--out", str(out), "--stage", "mil_only",
                "--cache", str(cli_trained / "features.msml"), *TINY_SETS,
-               "--set", "enc.token_dim=32"])
+               "--set", "enc.token_dim=32", "--set", "train.stage2_epochs=1"])
     assert rc == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "dim 24" in err and "32" in err
@@ -354,6 +427,41 @@ def test_sweep_emits_curve_file(cli_dataset, tmp_path, capsys):
     rows = curve.read_text().splitlines()
     assert len(rows) == 2
     assert rows[0].split()[0] == "1" and rows[1].split()[0] == "4"
+
+
+@pytest.mark.parametrize("holdout", ["0", "-1", "1", "nan"])
+def test_sweep_holdout_out_of_range_exit_5(cli_dataset, tmp_path, capsys, holdout):
+    capsys.readouterr()
+    rc = main(["sweep", "--dataset", str(cli_dataset), "--sizes", "1",
+               "--out", str(tmp_path / "curve.txt"), "--holdout", holdout, *TINY_SETS])
+    assert rc == 5
+    assert capsys.readouterr().out == ""
+    assert not (tmp_path / "curve.txt").exists()
+
+
+def test_sweep_holdout_with_no_held_out_slide_exit_5(tmp_path, capsys):
+    root = tmp_path / "one"
+    assert main(["generate", "--out", str(root), "--slides", "1", "--width", "1024",
+                 "--height", "1024", "--seed", "3"]) == 0
+    capsys.readouterr()
+    rc = main(["sweep", "--dataset", str(root), "--sizes", "1", "--holdout", "0.5", *TINY_SETS])
+    assert rc == 5
+    assert "no held-out slide" in capsys.readouterr().err
+
+
+def test_eval_kfold_with_params_exit_5(tmp_path, capsys):
+    """Every fold trains a fresh model, so a params file would be ignored."""
+    root = tmp_path / "kf"
+    assert main(["generate", "--out", str(root), "--slides", "4", "--classes", "2",
+                 "--width", "1024", "--height", "1024", "--seed", "8"]) == 0
+    enc, mil = tiny_model_config()
+    write_params(build_model(enc, replace(mil, classes=2), seed=1).store, tmp_path / "p.msmp")
+    capsys.readouterr()
+    rc = main(["eval", "--dataset", str(root), "--kfold", "2",
+               "--params", str(tmp_path / "p.msmp"), *TINY_SETS])
+    assert rc == 5
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--params" in captured.err
 
 
 def test_eval_kfold_prints_mean_sd(tmp_path, capsys):

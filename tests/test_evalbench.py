@@ -22,14 +22,19 @@ from msmil.evalbench import (
     write_curve,
     write_report,
 )
-from msmil.pipeline import EmptySlideError, TrainConfig, bag_from_bank, infer_bank, train_full
+from msmil.pipeline import EmptySlideError, TrainConfig, bag_from_bank, build_model, infer_bank, train_full
 from tests.conftest import fresh_tiny_model, tiny_model_config
 
 
 def tiny_trainer(seed):
     """The protocol's trainer on the tiny model: `train_full` from `seed`."""
     enc, mil = tiny_model_config()
-    return lambda banks, cfg: train_full(banks, enc, mil, cfg, seed)
+
+    def train(banks, cfg):
+        model = build_model(enc, mil, seed)
+        train_full(banks, model, cfg)
+        return model
+    return train
 
 
 def pair_count_auc(scores, positive):
@@ -205,9 +210,9 @@ def test_evaluate_confusion_sums(tiny_banks):
 def test_ablate_kfold_and_sweep_score_only_the_configured_scales(tiny_banks, monkeypatch):
     seen = set()
 
-    def recording(bank, idx, model, features=None):
+    def recording(bank, idx, model):
         seen.update(bank.refs[i].d_k for i in idx)
-        return bag_from_bank(bank, idx, model, features)
+        return bag_from_bank(bank, idx, model)
 
     monkeypatch.setattr(evalbench, "bag_from_bank", recording)
     model = fresh_tiny_model(seed=7)

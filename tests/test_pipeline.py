@@ -12,6 +12,7 @@ from msmil.pipeline import (
     DivergenceError,
     EmptySlideError,
     FeatureCache,
+    NonFiniteFeatureError,
     TrainConfig,
     bag_from_bank,
     build_bank,
@@ -98,8 +99,8 @@ def test_e2e_step_couples_both_parameter_groups(tiny_banks):
         bag = bag_from_bank(bank, idx, model)
         loss = nc.cross_entropy(model.mil.forward_logits(bag), bank.label)
     graph.backward(loss)
-    enc_norm = sum(float(np.abs(t.grad).sum()) for t in model.extractor_params() if t.grad is not None)
-    mil_norm = sum(float(np.abs(t.grad).sum()) for t in model.mil_params() if t.grad is not None)
+    enc_norm = sum(float(np.abs(t.grad).sum()) for t in model.store.subset("enc.") if t.grad is not None)
+    mil_norm = sum(float(np.abs(t.grad).sum()) for t in model.store.subset("mil.") if t.grad is not None)
     assert enc_norm > 0 and mil_norm > 0
 
 
@@ -192,6 +193,17 @@ def test_cache_sidecar_mismatch_is_format_error():
         FeatureCache(np.zeros((3, 4), dtype=np.float32), [("s", 0, 0, 512, 0)] * 2)
 
 
+def test_cache_refuses_features_not_finite_as_float32(tiny_banks):
+    """Features that overflow the float32 cast are refused, with the slide
+    named, and no cache is returned."""
+    model = fresh_tiny_model()
+    model.store["enc.proj.w"].data *= 1e40
+    feats = model.encoder.extract_batch(tiny_banks[0].patches[:2].astype(np.float64)).data
+    assert np.isfinite(feats).all() and np.abs(feats).max() > np.finfo(np.float32).max
+    with pytest.raises(NonFiniteFeatureError, match="slide slide_0000: features not finite as float32"):
+        cache_features(tiny_banks, model)
+
+
 # ---------------------------------------------------------------- stage two
 
 
@@ -210,7 +222,7 @@ def test_stage2_freezes_extractor(tiny_banks):
     train_mil_stage2(cache, labels, model, cfg, dims)
     for name, arr in enc_before.items():
         assert (model.store[name].data == arr).all(), name
-    assert all(t.grad is None for t in model.extractor_params())
+    assert all(t.grad is None for t in model.store.subset("enc."))
 
 
 def test_stage2_loss_decreases(c2_banks):
@@ -250,14 +262,23 @@ def test_stage2_rejects_empty_cache():
 def test_train_full_refinement_moves_only_the_attention_network(tiny_banks):
     enc, mil = tiny_model_config()
     cfg = TrainConfig(instances_per_graph=4, lr=0.02, epochs=1, seed=9, patch_source="lesion_only")
-    e2e_only = train_full(tiny_banks, enc, mil, cfg, model_seed=3).store.copy_values()
-    refined = train_full(tiny_banks, enc, mil, replace(cfg, stage2_epochs=1, stage2_lr=0.05),
-                         model_seed=3).store.copy_values()
+    e2e_only = build_model(enc, mil, seed=3)
+    manifest = train_full(tiny_banks, e2e_only, cfg)
+    refined = build_model(enc, mil, seed=3)
+    refined_manifest = train_full(tiny_banks, refined, replace(cfg, stage2_epochs=1, stage2_lr=0.05))
+    assert not any(k.startswith("stage2.") for k in manifest)
+    assert refined_manifest["stage2.steps"] == len(tiny_banks)
+    e2e_only, refined = e2e_only.store.copy_values(), refined.store.copy_values()
     assert e2e_only.keys() == refined.keys()
     for name, arr in e2e_only.items():
         if name.startswith("enc."):
             assert refined[name].tobytes() == arr.tobytes(), name
     assert any(not np.array_equal(refined[n], e2e_only[n]) for n in e2e_only if n.startswith("mil."))
+
+
+def test_train_config_stage2_maps_only_the_stage2_keys():
+    cfg = TrainConfig(epochs=4, lr=0.02, stage2_epochs=3, stage2_lr=0.007, seed=5)
+    assert cfg.stage2() == replace(cfg, epochs=3, lr=0.007)
 
 
 # ---------------------------------------------------------------- inference

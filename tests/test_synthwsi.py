@@ -261,8 +261,8 @@ def test_dataset_write_is_reproducible(tmp_path):
 
 def test_build_dataset_in_memory():
     ds = build_dataset(SynthSpec(), 4, seed=3)
-    assert ds.labels() == [0, 1, 2, 3]
-    assert ds.caps[512] == 0.75
+    assert [s.label for s in ds.slides] == [0, 1, 2, 3]
+    assert single_scale_caps(ds.spec)[512] == 0.75
     img = ds.slides[0].image()
     assert img.ident == "slide_0000"
     assert img.base.shape == (4096, 4096, 3)
