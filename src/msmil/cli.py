@@ -19,8 +19,9 @@ at ``train.lr``, then ``train.stage2_epochs`` (default 0) of attention-only
 refinement at ``train.stage2_lr`` on cached features; manifest entries of
 the refinement carry a ``stage2.`` prefix. ``train --stage mil_only --cache
 F`` runs the refinement alone, on the same two keys (stage2_epochs >= 1).
-``eval --kfold`` and ``sweep`` train a fresh model per fold or size, so
-``--kfold`` takes no ``--params``. ``sweep --holdout`` is the held-out share
+``eval`` scores the model of ``--params``; ``eval --kfold`` and ``sweep``
+train a fresh model per fold or size, so ``eval`` takes exactly one of
+``--params`` and ``--kfold``. ``sweep --holdout`` is the held-out share
 of the slides: 0 < holdout < 1, leaving at least one held-out slide.
 
 Exit codes: 0 success, 2 I/O failure, 3 missing input (including a slide
@@ -227,8 +228,9 @@ def cmd_train(args) -> int:
     else:
         provider = _provider(dataset, args.mask)
         banks = build_banks(dataset, provider, enc_cfg.input_side)
-        manifest = train_full(banks, model, train_cfg)
-        cache = cache_features(banks, model, scales=train_cfg.scales)
+        manifest, cache = train_full(banks, model, train_cfg)
+        if cache is None:
+            cache = cache_features(banks, model, scales=train_cfg.scales)
         write_cache(cache, out / "features.msml")
 
     write_params(model.store, out / "params.msmp")
@@ -296,6 +298,8 @@ def cmd_eval(args) -> int:
             entries["fold_sizes"] = ",".join(str(s) for s in summary["fold_sizes"])
             write_report(out, entries)
         return 0
+    if args.params is None:
+        raise CliConfigError("eval scores trained params: give --params, or --kfold to train per fold")
     model, enc_cfg, _, train_cfg = _load_model_for(dataset, conf, args.params)
     banks = build_banks(dataset, provider, enc_cfg.input_side)
     report = evaluate(banks, model, train_cfg, args.strategy)

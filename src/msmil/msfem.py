@@ -8,7 +8,9 @@ is projected to the instance feature dimension.
 
 Patches are encoded in batches: the conv trunk and the row-wise transformer
 pieces stack all patches into one set of matrices, and attention runs
-block-wise per patch inside a single fused op.
+block-wise per patch inside a single fused op. Each conv stage is one
+`nc.conv` node: the tape holds the stage's input map, not its unfolded
+k*k*c_in columns, which the backward unfolds again for the weight gradient.
 """
 
 from __future__ import annotations
@@ -129,8 +131,8 @@ class PatchEncoder:
         """(batch*S*S, 3) pixel rows -> (batch*m*m, c_f) feature rows."""
         side = self.cfg.input_side
         for i in range(len(self.cfg.widths)):
-            cols = nc.conv_unfold(x, batch, side, CONV_KERNEL, CONV_STRIDE, CONV_PAD)
-            pre = nc.linear(cols, self._p(f"conv{i}.w"), self._p(f"conv{i}.b"))
+            pre = nc.conv(x, self._p(f"conv{i}.w"), self._p(f"conv{i}.b"),
+                          batch, side, CONV_KERNEL, CONV_STRIDE, CONV_PAD)
             x = nc.silu(nc.layer_norm(pre, self._p(f"conv{i}.ln.g"), self._p(f"conv{i}.ln.b")))
             side = (side + 2 * CONV_PAD - CONV_KERNEL) // CONV_STRIDE + 1
         return x

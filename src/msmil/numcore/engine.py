@@ -21,6 +21,16 @@ rows and keeps no (rows, keys) array: the tape holds q, k, v, each row's max
 and sum, and the output, and the vjp recomputes each block's probabilities
 from them. Its memory grows with rows plus keys, not with their product.
 
+`conv` is one conv stage, `conv_unfold` followed by `linear`, as one node.
+Its tape keeps the input map, the weight and the bias, not the
+(rows, k*k*c_in) unfolded columns. The vjp folds g @ w.T back onto the map
+(skipped when the map needs no gradient, as for pixels), and only then
+unfolds the input again to form cols.T @ g, so the two column-sized
+temporaries never exist together. The trade is one extra unfold per stage
+in the backward for the columns' memory on the tape; the forward and every
+gradient have the bits of the two-node chain. The two ops share one unfold
+and one fold.
+
 Gradient rules are verified against central finite differences by
 `gradcheck.finite_diff_check`; keep any new op covered there.
 """
@@ -391,6 +401,52 @@ def gather_rows(a: Tensor, index) -> Tensor:
 # ----------------------------------------------------- image / sequence ops
 
 
+def _conv_side(rows: int, batch: int, side: int, k: int, stride: int, pad: int, op: str) -> int:
+    """Output side of a k x k window sweep, after checking the map's row count."""
+    if rows != batch * side * side:
+        raise ShapeError(f"{op} rows {rows} != batch*side*side {batch * side * side}")
+    out_side = (side + 2 * pad - k) // stride + 1
+    if out_side < 1:
+        raise ShapeError(f"{op} produces empty output for side={side}, k={k}, stride={stride}, pad={pad}")
+    return out_side
+
+
+def _unfold(xd: np.ndarray, batch: int, side: int, k: int, stride: int, pad: int,
+            out_side: int) -> np.ndarray:
+    """(batch*side*side, ch) map rows -> (batch*out_side*out_side, k*k*ch)
+    contiguous window rows, in (batch, y, x) and (ky, kx, ch) order."""
+    ch = xd.shape[1]
+    x = xd.reshape(batch, side, side, ch)
+    xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad), (0, 0)))
+    win = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(1, 2))
+    win = win[:, ::stride, ::stride]                      # (b, oh, ow, ch, k, k)
+    cols = win.transpose(0, 1, 2, 4, 5, 3).reshape(batch * out_side * out_side, k * k * ch)
+    return np.ascontiguousarray(cols)
+
+
+def _fold(gcols: np.ndarray, batch: int, side: int, k: int, stride: int, pad: int,
+          out_side: int) -> np.ndarray:
+    """Adjoint of `_unfold`: window-row gradients summed back onto the map rows.
+
+    Scatters straight into the unpadded map: taps on the padding are dropped,
+    the rest add in the same (ky, kx) order. Per kernel offset d: the output
+    positions whose tap lands inside the map, and the input positions they read.
+    """
+    ch = gcols.shape[1] // (k * k)
+    taps = []
+    for d in range(k):
+        lo = max(0, -(-(pad - d) // stride))
+        hi = max(lo, min(out_side, (side - 1 + pad - d) // stride + 1))
+        first = d + stride * lo - pad
+        taps.append((d, slice(lo, hi), slice(first, first + stride * (hi - lo), stride)))
+    gr = gcols.reshape(batch, out_side, out_side, k, k, ch)
+    ga = np.zeros((batch, side, side, ch))
+    for ky, oy, iy in taps:
+        for kx, ox, ix in taps:
+            ga[:, iy, ix] += gr[:, oy, ox, ky, kx]
+    return ga.reshape(batch * side * side, ch)
+
+
 def conv_unfold(a: Tensor, batch: int, side: int, k: int, stride: int, pad: int) -> Tensor:
     """im2col for a batch of square feature maps stored as (batch*side*side, ch) rows.
 
@@ -398,38 +454,36 @@ def conv_unfold(a: Tensor, batch: int, side: int, k: int, stride: int, pad: int)
     k*k window in (ky, kx, ch) order, ready for a (k*k*ch, ch_out) weight matmul.
     Zero padding. Backward scatters through the k*k shifted strided views.
     """
-    ch = a.data.shape[1]
-    if a.data.shape[0] != batch * side * side:
-        raise ShapeError(f"conv_unfold rows {a.data.shape[0]} != batch*side*side {batch * side * side}")
-    out_side = (side + 2 * pad - k) // stride + 1
-    if out_side < 1:
-        raise ShapeError(f"conv_unfold produces empty output for side={side}, k={k}, stride={stride}, pad={pad}")
-    x = a.data.reshape(batch, side, side, ch)
-    xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad), (0, 0)))
-    win = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(1, 2))
-    win = win[:, ::stride, ::stride]                      # (b, oh, ow, ch, k, k)
-    cols = win.transpose(0, 1, 2, 4, 5, 3).reshape(batch * out_side * out_side, k * k * ch)
-    out = Tensor(np.ascontiguousarray(cols))
+    out_side = _conv_side(a.data.shape[0], batch, side, k, stride, pad, "conv_unfold")
+    out = Tensor(_unfold(a.data, batch, side, k, stride, pad, out_side))
+    _emit(out, (a,), lambda g: (_fold(g, batch, side, k, stride, pad, out_side),))
+    return out
+
+
+def conv(x: Tensor, w: Tensor, b: Tensor, batch: int, side: int, k: int, stride: int,
+         pad: int) -> Tensor:
+    """One conv stage, `linear(conv_unfold(x, ...), w, b)`, as one node with the same bits.
+
+    The unfolded columns are dropped once multiplied: the tape keeps x, w
+    and b, and the vjp rebuilds the columns from x for the weight gradient.
+    """
+    xd, wd, bd = x.data, w.data, b.data
+    out_side = _conv_side(xd.shape[0], batch, side, k, stride, pad, "conv")
+    if (xd.ndim != 2 or wd.ndim != 2 or wd.shape[0] != k * k * xd.shape[1]
+            or bd.shape != (1, wd.shape[1])):
+        raise ShapeError(f"conv shape mismatch: {xd.shape} in {k}x{k} windows x {wd.shape} + {bd.shape}")
+    y = _unfold(xd, batch, side, k, stride, pad, out_side) @ wd
+    y += bd
+    out = Tensor(y)
 
     def vjp(g):
-        # scatter straight into the unpadded map: taps on the padding are
-        # dropped, the rest add in the same (ky, kx) order. Per kernel offset
-        # d: the output positions whose tap lands inside the map, and the
-        # input positions they read.
-        taps = []
-        for d in range(k):
-            lo = max(0, -(-(pad - d) // stride))
-            hi = max(lo, min(out_side, (side - 1 + pad - d) // stride + 1))
-            first = d + stride * lo - pad
-            taps.append((d, slice(lo, hi), slice(first, first + stride * (hi - lo), stride)))
-        gr = g.reshape(batch, out_side, out_side, k, k, ch)
-        ga = np.zeros((batch, side, side, ch))
-        for ky, oy, iy in taps:
-            for kx, ox, ix in taps:
-                ga[:, iy, ix] += gr[:, oy, ox, ky, kx]
-        return (ga.reshape(batch * side * side, ch),)
+        # the map gradient first, so its (rows, k*k*ch) product is freed
+        # before the columns are unfolded again
+        gx = _fold(g @ wd.T, batch, side, k, stride, pad, out_side) if x.requires_grad else None
+        gw = _unfold(xd, batch, side, k, stride, pad, out_side).T @ g if w.requires_grad else None
+        return (gx, gw, g.sum(axis=0, keepdims=True) if b.requires_grad else None)
 
-    _emit(out, (a,), vjp)
+    _emit(out, (x, w, b), vjp)
     return out
 
 

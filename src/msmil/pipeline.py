@@ -510,16 +510,20 @@ def oracle_provider(dataset: Dataset):
     return OracleMaskProvider(masks)
 
 
-def train_full(banks: list[SlideBank], model: Model, cfg: TrainConfig) -> dict:
+def train_full(banks: list[SlideBank], model: Model,
+               cfg: TrainConfig) -> tuple[dict, FeatureCache | None]:
     """The training protocol, in place on `model`: joint training, then,
     when `cfg.stage2_epochs` > 0, refinement of the attention network on
     the trained encoder's cached features of `banks`. Returns the joint
-    stage's manifest with the refinement's entries under `stage2.`."""
+    stage's manifest with the refinement's entries under `stage2.`, and
+    the refinement's cache (None without one). The refinement leaves the
+    encoder as it was, so that cache is the trained model's cache too."""
     manifest = train_e2e(banks, model, cfg)
+    cache = None
     if cfg.stage2_epochs > 0:
         cache = cache_features(banks, model, scales=cfg.scales)
         labels = {b.ident: b.label for b in banks}
         dims = {b.ident: (b.width, b.height) for b in banks}
         refined = train_mil_stage2(cache, labels, model, cfg.stage2(), dims)
         manifest.update({f"stage2.{k}": v for k, v in refined.items()})
-    return manifest
+    return manifest, cache

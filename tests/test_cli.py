@@ -6,12 +6,13 @@ import pytest
 from msmil.cli import _DEFAULTS, _DERIVED, main
 from msmil.iaam import IaamConfig
 from msmil.msfem import EncoderConfig
-from msmil.paramio import read_params, write_params
+from msmil.paramio import load_params, read_params, write_params
 from msmil.pipeline import (
     FeatureCache,
     TrainConfig,
     build_banks,
     build_model,
+    cache_features,
     oracle_provider,
     read_cache,
     train_full,
@@ -228,6 +229,37 @@ def test_train_runs_the_whole_protocol_like_the_library(cli_dataset, tmp_path):
     manifest = read_manifest(out / "manifest.txt")
     assert manifest["stage"] == "e2e" and manifest["stage2.stage"] == "mil_only"
     assert "stage2.epoch1_loss" in manifest and manifest["stage2.steps"] == "8"
+
+
+@pytest.mark.parametrize("stage2_epochs", [0, 1])
+def test_train_encodes_the_cache_once(cli_dataset, tmp_path, monkeypatch, stage2_epochs):
+    """`features.msml` is the refinement's cache when there is one: one
+    `cache_features` call either way, and the bytes of caching the
+    written params afresh."""
+    import msmil.cli
+    import msmil.pipeline
+
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return cache_features(*args, **kwargs)
+
+    monkeypatch.setattr(msmil.pipeline, "cache_features", counting)
+    monkeypatch.setattr(msmil.cli, "cache_features", counting)
+    out = tmp_path / "run"
+    rc = main(["train", "--dataset", str(cli_dataset), "--out", str(out), "--seed", "11",
+               *TINY_SETS, "--set", f"train.stage2_epochs={stage2_epochs}"])
+    assert rc == 0 and len(calls) == 1
+    monkeypatch.undo()
+    dataset = load_dataset(cli_dataset)
+    enc, mil = tiny_model_config()
+    model = build_model(enc, mil, seed=1)
+    load_params(model.store, out / "params.msmp")
+    write_cache(cache_features(build_banks(dataset, oracle_provider(dataset), 32), model),
+                tmp_path / "again.msml")
+    assert (out / "features.msml").read_bytes() == (tmp_path / "again.msml").read_bytes()
+    assert (out / "features.msml.sidecar").read_bytes() == (tmp_path / "again.msml.sidecar").read_bytes()
 
 
 def test_train_refuses_features_not_finite_as_float32_exit_4(cli_dataset, tmp_path, capsys):
@@ -462,6 +494,17 @@ def test_eval_kfold_with_params_exit_5(tmp_path, capsys):
     assert rc == 5
     captured = capsys.readouterr()
     assert captured.out == "" and "--params" in captured.err
+
+
+def test_eval_without_params_or_kfold_exit_5(cli_dataset, tmp_path, capsys):
+    """Scoring a freshly initialised model would read as a result."""
+    report = tmp_path / "report.txt"
+    capsys.readouterr()
+    rc = main(["eval", "--dataset", str(cli_dataset), "--out", str(report), *TINY_SETS])
+    assert rc == 5
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1 and "--params" in captured.err
+    assert not report.exists()
 
 
 def test_eval_kfold_prints_mean_sd(tmp_path, capsys):

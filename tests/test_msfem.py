@@ -3,7 +3,7 @@ import pytest
 
 import msmil.numcore as nc
 from msmil.encoding import sinusoid_table
-from msmil.msfem import ConfigError, EncoderConfig, PatchEncoder, resize_patch
+from msmil.msfem import CONV_KERNEL, ConfigError, EncoderConfig, PatchEncoder, resize_patch
 from msmil.params import ParamStore
 
 
@@ -182,3 +182,47 @@ def test_extract_batch_matches_single(c4_slides):
     for i in range(2):
         single = enc.extract_batch(patches[i:i + 1]).data[0]
         np.testing.assert_allclose(batched[i], single, atol=1e-12)
+
+
+def _tape_arrays(graph):
+    """Every array the tape holds after the forward: node outputs and what
+    each vjp closure captured, followed into nested closures."""
+    seen, arrays = set(), []
+
+    def visit(obj):
+        if id(obj) in seen:
+            return
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            arrays.append(obj)
+        elif isinstance(obj, nc.Tensor):
+            visit(obj.data)
+        elif isinstance(obj, (list, tuple)):
+            for item in obj:
+                visit(item)
+        elif callable(obj) and getattr(obj, "__closure__", None):
+            for cell in obj.__closure__:
+                visit(cell.cell_contents)
+
+    for node in graph.nodes:
+        visit(node.out)
+        visit(node.vjp)
+    return arrays
+
+
+def test_encoder_tape_keeps_no_unfolded_conv_columns():
+    """A recorded encoder pass holds no (rows, k*k*c_in) window array for
+    any conv stage; the conv vjp unfolds them again when it runs."""
+    cfg = EncoderConfig()
+    enc = PatchEncoder(cfg, ParamStore(), nc.Rng(5))
+    rng = nc.Rng(6)
+    side = cfg.input_side
+    patches = (rng.uniform(2 * side * side * 3) * 255).reshape(2, side, side, 3)
+    with nc.record() as graph:
+        enc.extract_batch(patches)
+    arrays = _tape_arrays(graph)
+    window_widths = {CONV_KERNEL * CONV_KERNEL * c for c in (3,) + cfg.widths[:-1]}
+    wide = [a.shape for a in arrays if a.ndim == 2 and a.shape[1] in window_widths]
+    assert wide == []
+    # what the weight gradient needs instead: each stage's input, pixels included
+    assert any(a.shape == (2 * side * side, 3) for a in arrays)

@@ -281,6 +281,24 @@ def test_conv_unfold_finite_diff():
     assert nc.finite_diff_check(f, [x, w]) < 1e-4
 
 
+def test_conv_finite_diff():
+    rng = Rng(305)
+    x = nc.param(_rand(rng, 2 * 4 * 4, 3))
+    w = nc.param(_rand(rng, 9 * 3, 2) * 0.3)
+    b = nc.param(_rand(rng, 1, 2) * 0.3)
+    f = lambda: nc.sum_all(nc.silu(nc.conv(x, w, b, 2, 4, 3, 2, 1)))
+    assert nc.finite_diff_check(f, [x, w, b]) < 1e-4
+
+
+def test_conv_shape_error_names_the_shapes():
+    x = nc.tensor(np.zeros((2 * 4 * 4, 3)))
+    with pytest.raises(nc.ShapeError) as e:
+        nc.conv(x, nc.tensor(np.zeros((9 * 2, 5))), nc.tensor(np.zeros((1, 5))), 2, 4, 3, 2, 1)
+    assert "(32, 3)" in str(e.value) and "(18, 5)" in str(e.value)
+    with pytest.raises(nc.ShapeError, match="conv rows 32"):
+        nc.conv(x, nc.tensor(np.zeros((27, 5))), nc.tensor(np.zeros((1, 5))), 1, 4, 3, 2, 1)
+
+
 def test_block_attention_finite_diff():
     rng = Rng(404)
     qkv = nc.param(np.concatenate([_rand(rng, 2 * 3, 4) * 0.5 for _ in "qkv"], axis=1))
@@ -438,6 +456,8 @@ def _contract_cases(rng):
         "attention": ([a, _rand(rng, 5, 3), _rand(rng, 5, 2)], lambda x, y, z: nc.attention(x, y, z, 0.5)),
         "block_self_attention": ([_rand(rng, 6, 12)], lambda t: nc.block_self_attention(t, 3, 2)),
         "concat_rows": ([a, c], lambda x, y: nc.concat_rows([x, y])),
+        "conv": ([_rand(rng, 2 * 4 * 4, 2), _rand(rng, 9 * 2, 3), _rand(rng, 1, 3)],
+                 lambda x, m, b: nc.conv(x, m, b, 2, 4, 3, 2, 1)),
         "conv_unfold": ([_rand(rng, 2 * 4 * 4, 2)], lambda x: nc.conv_unfold(x, 2, 4, 3, 2, 1)),
         "cross_entropy": ([_rand(rng, 1, 3)], lambda x: nc.cross_entropy(x, 1)),
         "gather_rows": ([a], lambda x: nc.gather_rows(x, [0, 2, 3, 0])),
@@ -520,7 +540,10 @@ def test_second_backward_on_a_tape_is_an_engine_error():
     assert x.grad is first
 
 
-@pytest.mark.parametrize("side,k,stride,pad", [(4, 3, 2, 1), (5, 3, 1, 1), (2, 5, 2, 2), (1, 4, 2, 2), (7, 3, 3, 2)])
+CONV_GRID = [(4, 3, 2, 1), (5, 3, 1, 1), (2, 5, 2, 2), (1, 4, 2, 2), (7, 3, 3, 2)]
+
+
+@pytest.mark.parametrize("side,k,stride,pad", CONV_GRID)
 def test_conv_unfold_gradient_matches_padded_scatter_bitwise(side, k, stride, pad):
     """The vjp skips taps on the padding; scattering into a padded map and
     cropping it gives the same bits."""
@@ -539,3 +562,33 @@ def test_conv_unfold_gradient_matches_padded_scatter_bitwise(side, k, stride, pa
             padded[:, ky:ky + stride * n:stride, kx:kx + stride * n:stride] += gr[:, :, :, ky, kx]
     want = padded[:, pad:pad + side, pad:pad + side].reshape(batch * side * side, ch)
     assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("x_grad", [True, False])
+@pytest.mark.parametrize("side,k,stride,pad", CONV_GRID)
+def test_conv_matches_unfold_then_linear_bitwise(side, k, stride, pad, x_grad):
+    """One node, the bits of the two-node chain: forward and every gradient,
+    with no map gradient when the map is a constant."""
+    rng = Rng(1414)
+    batch, ch, out_ch = 2, 3, 4
+    data = [_rand(rng, batch * side * side, ch), _rand(rng, k * k * ch, out_ch), _rand(rng, 1, out_ch)]
+    g = _rand(rng, batch * ((side + 2 * pad - k) // stride + 1) ** 2, out_ch)
+    results = []
+    for fused in (True, False):
+        x = Tensor(data[0], requires_grad=x_grad)
+        w, b = nc.param(data[1]), nc.param(data[2])
+        with nc.record() as graph:
+            if fused:
+                out = nc.conv(x, w, b, batch, side, k, stride, pad)
+            else:
+                out = nc.linear(nc.conv_unfold(x, batch, side, k, stride, pad), w, b)
+            loss = nc.sum_all(nc.mul(out, nc.tensor(g)))
+        graph.backward(loss)
+        results.append((out.data, x.grad, w.grad, b.grad))
+    (y, gx, gw, gb), (y0, gx0, gw0, gb0) = results
+    assert y.tobytes() == y0.tobytes()
+    assert gw.tobytes() == gw0.tobytes() and gb.tobytes() == gb0.tobytes()
+    if x_grad:
+        assert gx.tobytes() == gx0.tobytes()
+    else:
+        assert gx is None and gx0 is None

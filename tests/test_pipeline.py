@@ -263,11 +263,16 @@ def test_train_full_refinement_moves_only_the_attention_network(tiny_banks):
     enc, mil = tiny_model_config()
     cfg = TrainConfig(instances_per_graph=4, lr=0.02, epochs=1, seed=9, patch_source="lesion_only")
     e2e_only = build_model(enc, mil, seed=3)
-    manifest = train_full(tiny_banks, e2e_only, cfg)
+    manifest, cache = train_full(tiny_banks, e2e_only, cfg)
     refined = build_model(enc, mil, seed=3)
-    refined_manifest = train_full(tiny_banks, refined, replace(cfg, stage2_epochs=1, stage2_lr=0.05))
-    assert not any(k.startswith("stage2.") for k in manifest)
+    refined_manifest, refined_cache = train_full(tiny_banks, refined,
+                                                 replace(cfg, stage2_epochs=1, stage2_lr=0.05))
+    assert not any(k.startswith("stage2.") for k in manifest) and cache is None
     assert refined_manifest["stage2.steps"] == len(tiny_banks)
+    # the refinement's cache is the refined model's cache, bit for bit
+    again = cache_features(tiny_banks, refined)
+    assert refined_cache.rows.tobytes() == again.rows.tobytes()
+    assert refined_cache.sidecar == again.sidecar
     e2e_only, refined = e2e_only.store.copy_values(), refined.store.copy_values()
     assert e2e_only.keys() == refined.keys()
     for name, arr in e2e_only.items():
