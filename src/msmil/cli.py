@@ -69,7 +69,7 @@ from .pipeline import (
     train_mil_stage2,
     write_cache,
 )
-from .sffm import CoverageError, FileMaskProvider, run_sffm, write_refs
+from .sffm import CoverageError, FileMaskProvider, MaskFileError, run_sffm, write_refs
 from .synthwsi import PpmError, SpecError, SynthSpec, load_dataset, write_dataset, write_manifest
 
 EXIT_IO = 2
@@ -197,7 +197,8 @@ def cmd_filter(args) -> int:
     dataset = _load_dataset(args.dataset)
     record = _find_slide(dataset, args.slide)
     provider = _provider(dataset, args.mask)
-    patch_set = run_sffm(record.image(), provider)
+    image = record.image()
+    patch_set = run_sffm(image.width, image.height, provider.mask_for(record.ident))
     if args.out:
         write_refs(patch_set.refs, Path(args.out))
     n1, n2, n3 = patch_set.per_scale
@@ -437,7 +438,7 @@ def main(argv=None) -> int:
     except (DivergenceError, NonFiniteFeatureError, UndefinedAucError) as e:
         print(f"numeric failure: {e}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (PpmError, ParamFormatError, CacheFormatError, OSError) as e:
+    except (PpmError, MaskFileError, ParamFormatError, CacheFormatError, OSError) as e:
         print(f"io error: {e}", file=sys.stderr)
         return EXIT_IO
 

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import numcore as nc
-from .pipeline import Model, SlideBank, TrainConfig, bag_from_bank, select_batch
+from .pipeline import Model, SlideBank, TrainConfig, bag_from_bank, infer_bank, select_batch
 
 
 class InputError(Exception):
@@ -104,16 +104,16 @@ def evaluate_strategy(banks: list[SlideBank], model: Model, strategy: str, cfg: 
     preds, probs, counts = [], [], []
     rng = nc.Rng(seed)
     for pos, bank in enumerate(banks):
-        slide_rng = rng.child(pos)
         if source == "random_k":
-            idx = select_batch(bank, "random_k", 10 ** 9, slide_rng, cfg.scales, cfg.random_quotas)
+            idx = select_batch(bank, "random_k", 10 ** 9, rng.child(pos), cfg.scales, cfg.random_quotas)
+            p = model.mil.forward(bag_from_bank(bank, idx, model)).data[0]
+            n = len(idx)
         else:
-            idx, _ = bank.usable_idx(source, cfg.scales)
-        bag = bag_from_bank(bank, idx, model)
-        p = model.mil.forward(bag).data[0]
+            result = infer_bank(bank, model, source, cfg.scales)
+            p, n = result.probabilities, result.patch_count
         preds.append(int(np.argmax(p)))
         probs.append(p)
-        counts.append(len(idx))
+        counts.append(n)
     wall = (time.perf_counter() - t0) * 1000.0
     return np.asarray(preds), np.stack(probs), counts, wall
 

@@ -34,13 +34,14 @@ from .raster import box_downscale
 from .sffm import (
     SCALE_SIDES,
     MaskProvider,
+    OracleMaskProvider,
     PatchRef,
     PatchSet,
     crop_patch,
     full_grid,
     run_sffm,
 )
-from .synthwsi import Dataset, SlideRecord
+from .synthwsi import Dataset, SlideRecord, generate_mask
 
 BACKGROUND_MEAN = 240.0  # patches brighter than this on every channel are skipped
 
@@ -160,7 +161,7 @@ class SlideBank:
 
 def build_bank(record: SlideRecord, provider: MaskProvider, resize_side: int) -> SlideBank:
     image = record.image()
-    lesion = run_sffm(image, provider)
+    lesion = run_sffm(image.width, image.height, provider.mask_for(record.ident))
     grid = full_grid(image.width, image.height)
     pos = {r: i for i, r in enumerate(grid)}
     patches = np.empty((len(grid), resize_side, resize_side, 3), dtype=np.float32)
@@ -499,15 +500,9 @@ def infer_bank(bank: SlideBank, model: Model, source: str = "lesion_only",
 
 
 def oracle_provider(dataset: Dataset):
-    """Ground-truth masks for every slide (regenerated from slide seeds when
-    the dataset lives on disk)."""
-    from .sffm import OracleMaskProvider
-    from .synthwsi import generate_mask
-
-    masks = {}
-    for rec in dataset.slides:
-        masks[rec.ident] = rec._mask if rec._mask is not None else generate_mask(dataset.spec, rec.seed)
-    return OracleMaskProvider(masks)
+    """Ground-truth masks for every slide, regenerated from slide seeds."""
+    return OracleMaskProvider({rec.ident: generate_mask(dataset.spec, rec.seed)
+                               for rec in dataset.slides})
 
 
 def train_full(banks: list[SlideBank], model: Model,

@@ -2,9 +2,10 @@
 a red-fraction predicate on its windows, and multi-scale patch cropping.
 
 `_walk` is the only tiling. It yields each scan window with the base-pixel
-ref its center maps to; `full_grid` is the refs of every window and
-`run_sffm` the refs of the windows above the red threshold, so the filtered
-refs are always an ordered subsequence of the grid.
+ref its center maps to; `full_grid(width, height)` is the refs of every
+window and `run_sffm(width, height, mask)` the refs of the windows whose
+lesion share in the `LesionMask` plane is above the red threshold, so the
+filtered refs are always an ordered subsequence of the grid.
 
 Geometry conventions (all tested against a brute-force re-scan):
 * windows tile the 1024 mask non-overlapping, stride == window size d_k/s;
@@ -26,7 +27,7 @@ from typing import Iterable, Protocol
 import numpy as np
 
 from .synthwsi.ppm import read_ppm
-from .synthwsi.pyramid import THUMB_SIDE, LesionMask, PyramidImage
+from .synthwsi.pyramid import THUMB_SIDE, LesionMask, PyramidImage, mask_from_ppm
 
 SCALE_SIDES = (512, 1024, 2048)
 RED_THRESHOLD = 0.7
@@ -41,6 +42,10 @@ class BoundsError(Exception):
 
 
 class CoverageError(Exception):
+    pass
+
+
+class MaskFileError(Exception):
     pass
 
 
@@ -103,7 +108,8 @@ class OracleMaskProvider:
 
 
 class FileMaskProvider:
-    """Reads <root>/<ident>/mask.ppm; any value >= 128 counts as set."""
+    """Reads <root>/<ident>/mask.ppm (layout: `synthwsi.mask_from_ppm`); a
+    file that is not a 1024x1024 raster raises MaskFileError."""
 
     def __init__(self, root: Path):
         self.root = Path(root)
@@ -112,8 +118,10 @@ class FileMaskProvider:
         path = self.root / ident / "mask.ppm"
         if not path.exists():
             raise CoverageError(f"no mask file at {path}")
-        raster = (read_ppm(path) >= 128).astype(np.uint8)
-        return LesionMask(raster)
+        try:
+            return mask_from_ppm(read_ppm(path))
+        except ValueError as e:
+            raise MaskFileError(f"{path}: {e}") from None
 
 
 def _spans(step: float) -> list[tuple[int, int]]:
@@ -167,15 +175,14 @@ def crop_patch(image: PyramidImage, ref: PatchRef) -> np.ndarray:
     return image.base[y0:y1, x0:x1].copy()
 
 
-def run_sffm(image: PyramidImage, provider: MaskProvider,
+def run_sffm(width: int, height: int, mask: LesionMask,
              scales: tuple[int, ...] = SCALE_SIDES,
              threshold: float = RED_THRESHOLD) -> PatchSet:
-    """The grid refs whose mask window is strictly above the red threshold,
-    in `full_grid` order."""
+    """The grid refs of a width x height slide whose mask window is strictly
+    above the red threshold, in `full_grid` order."""
     if not 0.0 < threshold < 1.0:
         raise ValueError(f"threshold {threshold} outside (0, 1)")
-    mask = provider.mask_for(image.ident)
-    refs = [ref for window, ref in _walk(image.width, image.height, scales)
+    refs = [ref for window, ref in _walk(width, height, scales)
             if red_fraction(mask, window) > threshold]
     return PatchSet(refs)
 

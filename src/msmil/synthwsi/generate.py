@@ -30,7 +30,7 @@ import numpy as np
 
 from ..numcore.rng import Rng
 from .ppm import read_ppm, write_ppm
-from .pyramid import THUMB_SIDE, LesionMask, PyramidImage
+from .pyramid import THUMB_SIDE, LesionMask, PyramidImage, mask_to_ppm
 
 
 class SpecError(Exception):
@@ -136,11 +136,8 @@ def _footprint(spec: SynthSpec, rng: Rng) -> np.ndarray:
 
 
 def generate_mask(spec: SynthSpec, seed: int) -> LesionMask:
-    """Oracle lesion mask for a slide seed; red channel marks the blob."""
-    foot = _footprint(spec, Rng(seed).child(1))
-    raster = np.zeros((THUMB_SIDE, THUMB_SIDE, 3), dtype=np.uint8)
-    raster[:, :, 0] = foot
-    return LesionMask(raster)
+    """Oracle lesion mask for a slide seed: the blob's footprint."""
+    return LesionMask(_footprint(spec, Rng(seed).child(1)))
 
 
 def _sign_pattern(kind: str, spec: SynthSpec, h: int, w: int, phase_y: int, phase_x: int):
@@ -167,7 +164,7 @@ def _sign_pattern(kind: str, spec: SynthSpec, h: int, w: int, phase_y: int, phas
 
 def generate_wsi(spec: SynthSpec, label: int, seed: int) -> tuple[PyramidImage, LesionMask]:
     """Pure function of (spec, label, seed); see the module docstring for the
-    signal. The lesion footprint is the red channel of `generate_mask(spec, seed)`."""
+    signal. The lesion footprint is `generate_mask(spec, seed)`."""
     if not 0 <= label < spec.classes:
         raise SpecError(f"label {label} out of range for {spec.classes} classes")
     h, w = spec.height, spec.width
@@ -214,13 +211,10 @@ class SlideRecord:
     seed: int
     path: Path | None = None
     _image: PyramidImage | None = field(default=None, repr=False)
-    _mask: LesionMask | None = field(default=None, repr=False)
 
     def image(self) -> PyramidImage:
         if self._image is None:
-            img = PyramidImage(read_ppm(self.path / "image.ppm"), ident=self.ident)
-            self._image = img
-        self._image.ident = self.ident
+            self._image = PyramidImage(read_ppm(self.path / "image.ppm"))
         return self._image
 
     def drop_cache(self):
@@ -253,12 +247,8 @@ def _generate_slides(spec: SynthSpec, n_slides: int, seed: int):
 def build_dataset(spec: SynthSpec, n_slides: int, seed: int) -> Dataset:
     """In-memory dataset of `_generate_slides`."""
     slides = []
-    for ident, label, s_seed, image, mask in _generate_slides(spec, n_slides, seed):
-        image.ident = ident
-        rec = SlideRecord(ident, label, spec.width, spec.height, s_seed)
-        rec._image = image
-        rec._mask = mask
-        slides.append(rec)
+    for ident, label, s_seed, image, _ in _generate_slides(spec, n_slides, seed):
+        slides.append(SlideRecord(ident, label, spec.width, spec.height, s_seed, _image=image))
     return Dataset(spec, seed, slides)
 
 
@@ -287,7 +277,7 @@ def write_dataset(root: Path, spec: SynthSpec, n_slides: int, seed: int) -> Data
         sdir = root / ident
         sdir.mkdir(exist_ok=True)
         write_ppm(image.base, sdir / "image.ppm")
-        write_ppm(mask.raster * np.uint8(255), sdir / "mask.ppm")
+        write_ppm(mask_to_ppm(mask), sdir / "mask.ppm")
         write_manifest(sdir / "meta.txt", {
             "label": label,
             "W": spec.width,

@@ -6,8 +6,6 @@ byte-exact: write(read(x)) == x for any 8-bit raster.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 
@@ -17,21 +15,23 @@ class PpmError(Exception):
         self.offset = offset
 
 
-def _next_token(buf: bytearray, pos: int) -> tuple[bytes, int]:
+_SPACE = b" \t\n\v\f\r"  # bytes.isspace()
+
+
+def _next_token(buf: np.ndarray, pos: int) -> tuple[bytes, int]:
     n = len(buf)
     while pos < n:
-        c = buf[pos:pos + 1]
-        if c == b"#":
-            while pos < n and buf[pos:pos + 1] not in (b"\n", b"\r"):
+        if buf[pos] == ord("#"):
+            while pos < n and buf[pos] not in b"\n\r":
                 pos += 1
-        elif c.isspace():
+        elif buf[pos] in _SPACE:
             pos += 1
         else:
             break
     if pos >= n:
         raise PpmError("unexpected end of header", pos)
     start = pos
-    while pos < n and not buf[pos:pos + 1].isspace():
+    while pos < n and buf[pos] not in _SPACE:
         pos += 1
     return bytes(buf[start:pos]), pos
 
@@ -39,13 +39,11 @@ def _next_token(buf: bytearray, pos: int) -> tuple[bytes, int]:
 def read_ppm(path) -> np.ndarray:
     """Read a P6 raster as a writeable (H, W, 3) uint8 view of the file's bytes.
 
-    The file is read once into a buffer of its size and the array is a view
-    of it past the header, so the raster is held in memory once.
+    The file is read once into a numpy buffer of its size and the array is a
+    view of it past the header, so the raster is held in memory once.
     """
-    with open(path, "rb") as fh:
-        buf = bytearray(os.fstat(fh.fileno()).st_size)
-        del buf[fh.readinto(buf):]
-    if buf[:2] != b"P6":
+    buf = np.fromfile(path, dtype=np.uint8)
+    if bytes(buf[:2]) != b"P6":
         raise PpmError(f"not a P6 file (magic {bytes(buf[:2])!r})", 0)
     pos = 2
     fields = []
@@ -57,7 +55,7 @@ def read_ppm(path) -> np.ndarray:
     width, height, maxval = fields
     if maxval != 255:
         raise PpmError(f"unsupported maxval {maxval}", pos - len(str(maxval)))
-    if pos >= len(buf) or not buf[pos:pos + 1].isspace():
+    if pos >= len(buf) or buf[pos] not in _SPACE:
         raise PpmError("missing whitespace after maxval", pos)
     pos += 1
     need = width * height * 3
@@ -66,7 +64,7 @@ def read_ppm(path) -> np.ndarray:
         raise PpmError(f"truncated raster: need {need} bytes, have {have}", len(buf))
     if have > need:
         raise PpmError(f"{have - need} trailing bytes after the raster", pos + need)
-    return np.frombuffer(buf, dtype=np.uint8, offset=pos).reshape(height, width, 3)
+    return buf[pos:].reshape(height, width, 3)
 
 
 def write_ppm(raster: np.ndarray, path) -> None:

@@ -1,4 +1,6 @@
-"""Multi-resolution raster standing in for a whole-slide image."""
+"""Multi-resolution raster standing in for a whole-slide image, and its
+lesion mask: one 1024x1024 bool plane, on disk a P6 `mask.ppm` with 255 in
+the red channel on lesion and 0 elsewhere (`mask_to_ppm`, `mask_from_ppm`)."""
 
 from __future__ import annotations
 
@@ -19,12 +21,11 @@ class PyramidImage:
     with area-averaging of level 0 to within rounding.
     """
 
-    def __init__(self, base: np.ndarray, ident: str = ""):
+    def __init__(self, base: np.ndarray):
         base = np.asarray(base)
         if base.ndim != 3 or base.shape[2] != 3 or base.dtype != np.uint8:
             raise ValueError(f"PyramidImage wants (H, W, 3) uint8, got {base.shape} {base.dtype}")
         self.base = base
-        self.ident = ident
         self._levels: dict[int, np.ndarray] = {1: base}
 
     @property
@@ -45,19 +46,23 @@ class PyramidImage:
 
 @dataclass
 class LesionMask:
-    """1024x1024x3 binary raster; the red channel marks lesion."""
+    """The (1024, 1024) bool plane of a slide's lesion; True marks lesion."""
 
-    raster: np.ndarray
+    red: np.ndarray
 
     def __post_init__(self):
-        r = np.asarray(self.raster)
-        if r.shape != (THUMB_SIDE, THUMB_SIDE, 3):
-            raise ValueError(f"mask must be {THUMB_SIDE}x{THUMB_SIDE}x3, got {r.shape}")
-        if not np.isin(r, (0, 1)).all():
-            raise ValueError("mask values must be 0 or 1")
-        self.raster = r.astype(np.uint8)
+        if self.red.shape != (THUMB_SIDE, THUMB_SIDE) or self.red.dtype != np.bool_:
+            raise ValueError(f"mask must be a {THUMB_SIDE}x{THUMB_SIDE} bool plane, "
+                             f"got {self.red.shape} {self.red.dtype}")
 
-    @property
-    def red(self) -> np.ndarray:
-        return self.raster[:, :, 0]
 
+def mask_to_ppm(mask: LesionMask) -> np.ndarray:
+    """The (1024, 1024, 3) uint8 raster of `mask.ppm`."""
+    raster = np.zeros((THUMB_SIDE, THUMB_SIDE, 3), dtype=np.uint8)
+    raster[:, :, 0][mask.red] = 255
+    return raster
+
+
+def mask_from_ppm(raster: np.ndarray) -> LesionMask:
+    """The mask of a `mask.ppm` raster: red >= 128 marks lesion."""
+    return LesionMask(raster[:, :, 0] >= 128)

@@ -54,7 +54,6 @@ def c4_slides(c4_spec):
     out = {}
     for label in range(4):
         img, mask = generate_wsi(c4_spec, label, 9000 + label)
-        img.ident = f"fix_{label}"
         out[label] = (img, mask, label)
     return out
 
@@ -63,7 +62,7 @@ def c4_slides(c4_spec):
 def blank_image_4096():
     from msmil.synthwsi import PyramidImage
 
-    return PyramidImage(np.full((4096, 4096, 3), 180, dtype=np.uint8), ident="blank")
+    return PyramidImage(np.full((4096, 4096, 3), 180, dtype=np.uint8))
 
 
 def _inf_gradient(t):

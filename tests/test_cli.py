@@ -86,11 +86,11 @@ def test_filter_fully_red_file_mask(cli_dataset, capsys):
         assert capsys.readouterr().out.strip() == "64 16 4"
     finally:
         # restore the real mask for later tests
-        from msmil.synthwsi import generate_mask, load_dataset
+        from msmil.synthwsi import generate_mask, load_dataset, mask_to_ppm
 
         ds = load_dataset(cli_dataset)
         mask = generate_mask(ds.spec, ds.slides[0].seed)
-        write_ppm(mask.raster * np.uint8(255), cli_dataset / "slide_0000" / "mask.ppm")
+        write_ppm(mask_to_ppm(mask), cli_dataset / "slide_0000" / "mask.ppm")
 
 
 def test_filter_empty_mask(cli_dataset, tmp_path, capsys):
@@ -104,11 +104,11 @@ def test_filter_empty_mask(cli_dataset, tmp_path, capsys):
         assert capsys.readouterr().out.strip() == "0 0 0"
         assert out.read_text() == ""
     finally:
-        from msmil.synthwsi import generate_mask, load_dataset
+        from msmil.synthwsi import generate_mask, load_dataset, mask_to_ppm
 
         ds = load_dataset(cli_dataset)
         mask = generate_mask(ds.spec, ds.slides[1].seed)
-        write_ppm(mask.raster * np.uint8(255), cli_dataset / "slide_0001" / "mask.ppm")
+        write_ppm(mask_to_ppm(mask), cli_dataset / "slide_0001" / "mask.ppm")
 
 
 def test_filter_mask_kinds_agree(cli_dataset, capsys):
@@ -330,6 +330,21 @@ def test_corrupt_ppm_exit_2(cli_dataset, tmp_path):
     (bad / "slide_0003" / "image.ppm").write_bytes(b"P6\n10 10\n255\n123")
     rc = main(["filter", "--dataset", str(bad), "--slide", "slide_0003", "--mask", "file"])
     assert rc == 2
+
+
+def test_filter_mask_file_of_wrong_size_exit_2(cli_dataset, tmp_path, capsys):
+    import shutil
+
+    bad = tmp_path / "bad_ds"
+    shutil.copytree(cli_dataset / "slide_0002", bad / "slide_0002")
+    shutil.copy(cli_dataset / "manifest.txt", bad)
+    mask = bad / "slide_0002" / "mask.ppm"
+    write_ppm(np.zeros((512, 512, 3), dtype=np.uint8), mask)
+    capsys.readouterr()
+    rc = main(["filter", "--dataset", str(bad), "--slide", "slide_0002", "--mask", "file"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"io error: {mask}: ") and err.count("\n") == 1
 
 
 # ------------------------------------------------- infer / eval / ablate

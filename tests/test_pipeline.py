@@ -67,7 +67,7 @@ def test_select_batch_scale_restriction(tiny_banks):
 def test_select_batch_empty_slide_error(tiny_dataset):
     ds, _ = tiny_dataset
     blank = OracleMaskProvider({
-        ds.slides[0].ident: LesionMask(np.zeros((1024, 1024, 3), dtype=np.uint8))
+        ds.slides[0].ident: LesionMask(np.zeros((1024, 1024), dtype=bool))
     })
     bank = build_bank(ds.slides[0], blank, TINY_SIDE)
     with pytest.raises(EmptySlideError):
@@ -292,7 +292,7 @@ def test_train_config_stage2_maps_only_the_stage2_keys():
 def test_infer_empty_mask_falls_back_with_flag(tiny_dataset):
     ds, _ = tiny_dataset
     blank = OracleMaskProvider({
-        ds.slides[1].ident: LesionMask(np.zeros((1024, 1024, 3), dtype=np.uint8))
+        ds.slides[1].ident: LesionMask(np.zeros((1024, 1024), dtype=bool))
     })
     bank = build_bank(ds.slides[1], blank, TINY_SIDE)
     model = fresh_tiny_model()

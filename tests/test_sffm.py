@@ -22,13 +22,19 @@ from msmil.sffm import (
     write_refs,
 )
 from msmil.pipeline import build_bank
-from msmil.synthwsi import LesionMask, PyramidImage, SlideRecord, SynthSpec, generate_mask
+from msmil.synthwsi import (
+    LesionMask,
+    PyramidImage,
+    SlideRecord,
+    SynthSpec,
+    generate_mask,
+    mask_to_ppm,
+    write_ppm,
+)
 
 
 def make_mask(red: np.ndarray) -> LesionMask:
-    raster = np.zeros((1024, 1024, 3), dtype=np.uint8)
-    raster[:, :, 0] = red.astype(np.uint8)
-    return LesionMask(raster)
+    return LesionMask(red.astype(bool))
 
 
 def brute_force_refs(red, s1, s2, d_k, width, height, theta=0.7):
@@ -60,7 +66,7 @@ def brute_force_refs(red, s1, s2, d_k, width, height, theta=0.7):
 
 
 def blank_image(width: int, height: int) -> PyramidImage:
-    return PyramidImage(np.full((height, width, 3), 180, dtype=np.uint8), ident="blank")
+    return PyramidImage(np.full((height, width, 3), 180, dtype=np.uint8))
 
 
 def test_scan_grid_counts_at_s4():
@@ -106,39 +112,34 @@ def test_red_fraction_checkerboard_is_half():
 
 
 def test_exact_threshold_is_rejected():
-    image = blank_image(3072, 3072)
     window = (512, 512, 682, 682)  # a 512 px scan window at s = 3: 170 x 170 = 28,900 px
     assert window in [w for w, _ in _walk(3072, 3072, (512,))]
     red = np.zeros((1024, 1024))
     red[512:682, 512:682].flat[:20230] = 1  # exactly 0.7
     mask = make_mask(red)
     assert red_fraction(mask, window) == 0.7
-    assert run_sffm(image, OracleMaskProvider({"blank": mask})).refs == []
+    assert run_sffm(3072, 3072, mask).refs == []
     red[512:682, 512:682].flat[20230] = 1  # 20,231 px: strictly above
-    kept = run_sffm(image, OracleMaskProvider({"blank": make_mask(red)})).refs
+    kept = run_sffm(3072, 3072, make_mask(red)).refs
     assert kept == [PatchRef(1791, 1791, 512, 0)]
 
 
-def test_fully_red_mask_maps_to_expected_centers(blank_image_4096):
-    provider = OracleMaskProvider({"blank": make_mask(np.ones((1024, 1024)))})
-    refs = run_sffm(blank_image_4096, provider, scales=(512,)).refs
+def test_fully_red_mask_maps_to_expected_centers():
+    refs = run_sffm(4096, 4096, make_mask(np.ones((1024, 1024))), scales=(512,)).refs
     assert len(refs) == 64
     centers = {(r.x, r.y) for r in refs}
     assert centers == {(256 + 512 * i, 256 + 512 * j) for i in range(8) for j in range(8)}
     assert all(r.scale_code == 0 for r in refs)
 
 
-def test_empty_mask_keeps_nothing(blank_image_4096):
-    provider = OracleMaskProvider({"blank": make_mask(np.zeros((1024, 1024)))})
-    assert run_sffm(blank_image_4096, provider, scales=(1024,)).refs == []
+def test_empty_mask_keeps_nothing():
+    assert run_sffm(4096, 4096, make_mask(np.zeros((1024, 1024))), scales=(1024,)).refs == []
 
 
 def test_border_overflow_refs_are_discarded():
     # fully red mask, but at s = 3 the one 2048 px window's crop starts at -1
-    image = blank_image(3072, 3072)
     assert _spans(2048 / 3) == [(0, 682)]
-    provider = OracleMaskProvider({"blank": make_mask(np.ones((1024, 1024)))})
-    assert run_sffm(image, provider, scales=(2048,)).refs == []
+    assert run_sffm(3072, 3072, make_mask(np.ones((1024, 1024))), scales=(2048,)).refs == []
 
 
 # --------------------------------------------------------------- crop_patch
@@ -169,9 +170,8 @@ def test_crop_patch_out_of_bounds_never_clamps(blank_image_4096):
 # ----------------------------------------------------------------- run_sffm
 
 
-def test_run_sffm_fully_red_counts(blank_image_4096):
-    provider = OracleMaskProvider({"blank": make_mask(np.ones((1024, 1024)))})
-    ps = run_sffm(blank_image_4096, provider)
+def test_run_sffm_fully_red_counts():
+    ps = run_sffm(4096, 4096, make_mask(np.ones((1024, 1024))))
     assert ps.per_scale == (64, 16, 4)
     assert ps.total == 84
     # ordering: d_k ascending, then y, then x
@@ -181,50 +181,45 @@ def test_run_sffm_fully_red_counts(blank_image_4096):
     assert first_scale == sorted(first_scale, key=lambda r: (r.y, r.x))
 
 
-def test_run_sffm_empty_mask(blank_image_4096):
-    provider = OracleMaskProvider({"blank": make_mask(np.zeros((1024, 1024)))})
-    ps = run_sffm(blank_image_4096, provider)
+def test_run_sffm_empty_mask():
+    ps = run_sffm(4096, 4096, make_mask(np.zeros((1024, 1024))))
     assert ps.total == 0 and ps.per_scale == (0, 0, 0)
 
 
-def test_run_sffm_half_plane_matches_brute_force(blank_image_4096):
+def test_run_sffm_half_plane_matches_brute_force():
     red = np.zeros((1024, 1024))
     red[:, :512] = 1  # left half
-    provider = OracleMaskProvider({"blank": make_mask(red)})
-    ps = run_sffm(blank_image_4096, provider)
+    ps = run_sffm(4096, 4096, make_mask(red))
     for d_k in (512, 1024, 2048):
         got = [(r.x, r.y, r.d_k) for r in ps.refs if r.d_k == d_k]
         want = brute_force_refs(red, 4.0, 4.0, d_k, 4096, 4096)
         assert sorted(got) == sorted(want)
 
 
-def test_run_sffm_missing_slide(blank_image_4096):
-    with pytest.raises(CoverageError):
-        run_sffm(blank_image_4096, OracleMaskProvider({}))
+def test_run_sffm_missing_slide():
+    with pytest.raises(CoverageError, match="no oracle mask for slide 'blank'"):
+        OracleMaskProvider({}).mask_for("blank")
+    record = SlideRecord("blank", 0, 1024, 1024, 0, _image=blank_image(1024, 1024))
+    with pytest.raises(CoverageError, match="no oracle mask for slide 'blank'"):
+        build_bank(record, OracleMaskProvider({}), 8)
 
 
-def test_file_provider_matches_oracle(tmp_path, c4_spec, c4_slides):
-    from msmil.synthwsi import write_ppm
-
-    img, mask, _ = c4_slides[1]
-    slide_dir = tmp_path / img.ident
-    slide_dir.mkdir()
-    write_ppm(mask.raster * np.uint8(255), slide_dir / "mask.ppm")
-    oracle = OracleMaskProvider({img.ident: mask})
-    filed = FileMaskProvider(tmp_path)
-    ps_a = run_sffm(img, oracle)
-    ps_b = run_sffm(img, filed)
-    assert ps_a.refs == ps_b.refs
+def test_file_provider_matches_oracle(tmp_path, c4_slides):
+    _, mask, _ = c4_slides[1]
+    (tmp_path / "slide").mkdir()
+    write_ppm(mask_to_ppm(mask), tmp_path / "slide" / "mask.ppm")
+    filed = FileMaskProvider(tmp_path).mask_for("slide")
+    assert run_sffm(4096, 4096, mask).refs == run_sffm(4096, 4096, filed).refs
 
 
 @pytest.mark.parametrize("width,height", [(3072, 3072), (4096, 4096), (2048, 6144)])
 def test_lesion_refs_are_an_ordered_subsequence_of_the_grid(width, height):
-    image = blank_image(width, height)
-    provider = OracleMaskProvider({"blank": make_mask(random_blobby_mask(Rng(width + height)))})
-    lesion = run_sffm(image, provider).refs
+    mask = make_mask(random_blobby_mask(Rng(width + height)))
+    lesion = run_sffm(width, height, mask).refs
     grid = iter(full_grid(width, height))
     assert lesion and all(ref in grid for ref in lesion)
-    bank = build_bank(SlideRecord("blank", 0, width, height, 0, _image=image), provider, 8)
+    record = SlideRecord("blank", 0, width, height, 0, _image=blank_image(width, height))
+    bank = build_bank(record, OracleMaskProvider({"blank": mask}), 8)
     assert len(bank.lesion_idx) == len(lesion)
     assert (np.diff(bank.lesion_idx) > 0).all()
 
@@ -245,11 +240,11 @@ def random_blobby_mask(rng: Rng) -> np.ndarray:
     return red
 
 
-def test_retained_set_equals_brute_force_50_random_masks(blank_image_4096):
+def test_retained_set_equals_brute_force_50_random_masks():
     rng = Rng(1234)
     for trial in range(50):
         red = random_blobby_mask(rng)
-        ps = run_sffm(blank_image_4096, OracleMaskProvider({"blank": make_mask(red)}))
+        ps = run_sffm(4096, 4096, make_mask(red))
         for d_k in (512, 1024, 2048):
             got = [(r.x, r.y, r.d_k) for r in ps.refs if r.d_k == d_k]
             want = brute_force_refs(red, 4.0, 4.0, d_k, 4096, 4096)
@@ -259,30 +254,29 @@ def test_retained_set_equals_brute_force_50_random_masks(blank_image_4096):
 def test_all_emitted_refs_are_croppable(blank_image_4096):
     rng = Rng(777)
     for _ in range(20):
-        provider = OracleMaskProvider({"blank": make_mask(random_blobby_mask(rng))})
-        ps = run_sffm(blank_image_4096, provider)
+        ps = run_sffm(4096, 4096, make_mask(random_blobby_mask(rng)))
         for ref in ps.refs:
             patch = crop_patch(blank_image_4096, ref)
             assert patch.shape == (ref.d_k, ref.d_k, 3)
 
 
-def test_growing_red_region_never_removes_refs(blank_image_4096):
+def test_growing_red_region_never_removes_refs():
     rng = Rng(555)
     red = random_blobby_mask(rng)
-    before = set(run_sffm(blank_image_4096, OracleMaskProvider({"blank": make_mask(red)})).refs)
+    before = set(run_sffm(4096, 4096, make_mask(red)).refs)
     grown = red.copy()
     grown[200:600, 100:800] = 1
-    after = set(run_sffm(blank_image_4096, OracleMaskProvider({"blank": make_mask(grown)})).refs)
+    after = set(run_sffm(4096, 4096, make_mask(grown)).refs)
     assert before <= after
 
 
 @pytest.mark.parametrize("fraction", [0.1, 0.3, 0.5])
-def test_lesion_fraction_economy(blank_image_4096, fraction):
+def test_lesion_fraction_economy(fraction):
     """Retained/total grid ratio tracks the lesion fraction within +/-0.15."""
     spec = SynthSpec(lesion_fraction=fraction)
     grid_total = 64 + 16 + 4
     for seed in (41, 42, 43):
-        ps = run_sffm(blank_image_4096, OracleMaskProvider({"blank": generate_mask(spec, seed)}))
+        ps = run_sffm(4096, 4096, generate_mask(spec, seed))
         ratio = ps.total / grid_total
         assert fraction - 0.15 <= ratio <= fraction + 0.15, (fraction, seed, ratio)
 
@@ -290,9 +284,8 @@ def test_lesion_fraction_economy(blank_image_4096, fraction):
 # ------------------------------------------------------------------- dumps
 
 
-def test_ref_dump_roundtrip(tmp_path, blank_image_4096):
-    provider = OracleMaskProvider({"blank": make_mask(np.ones((1024, 1024)))})
-    ps = run_sffm(blank_image_4096, provider)
+def test_ref_dump_roundtrip(tmp_path):
+    ps = run_sffm(4096, 4096, make_mask(np.ones((1024, 1024))))
     path = tmp_path / "refs.txt"
     write_refs(ps.refs, path)
     assert read_refs(path) == ps.refs

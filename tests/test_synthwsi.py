@@ -16,6 +16,8 @@ from msmil.synthwsi import (
     generate_mask,
     generate_wsi,
     load_dataset,
+    mask_from_ppm,
+    mask_to_ppm,
     read_ppm,
     single_scale_caps,
     write_dataset,
@@ -30,7 +32,7 @@ def test_generation_is_deterministic(c4_spec):
     a_img, a_mask = generate_wsi(c4_spec, 0, 7)
     b_img, b_mask = generate_wsi(c4_spec, 0, 7)
     assert (a_img.base == b_img.base).all()
-    assert (a_mask.raster == b_mask.raster).all()
+    assert (a_mask.red == b_mask.red).all()
 
 
 @pytest.mark.parametrize("target", [0.1, 0.3, 0.5])
@@ -43,15 +45,35 @@ def test_lesion_fraction_hits_target(target):
 
 def test_mask_is_binary_red_channel(c4_slides):
     _, mask, _ = c4_slides[0]
-    assert mask.raster.shape == (1024, 1024, 3)
-    assert set(np.unique(mask.raster)) <= {0, 1}
-    assert mask.raster[:, :, 1].max() == 0 and mask.raster[:, :, 2].max() == 0
+    assert mask.red.shape == (1024, 1024) and mask.red.dtype == np.bool_
+    raster = mask_to_ppm(mask)
+    assert raster.shape == (1024, 1024, 3) and raster.dtype == np.uint8
+    np.testing.assert_array_equal(raster[:, :, 0], np.where(mask.red, 255, 0))
+    assert raster[:, :, 1].max() == 0 and raster[:, :, 2].max() == 0
+
+
+@pytest.mark.parametrize("shape,dtype", [((1024, 1024, 3), np.uint8), ((1024, 1024, 3), bool),
+                                         ((1024, 1024), np.uint8), ((512, 512), bool)])
+def test_lesion_mask_is_one_bool_plane(shape, dtype):
+    with pytest.raises(ValueError, match="1024x1024 bool plane"):
+        LesionMask(np.zeros(shape, dtype=dtype))
+
+
+def test_mask_ppm_red_from_128_is_lesion():
+    raster = np.zeros((1024, 1024, 3), dtype=np.uint8)
+    raster[0, :4, 0] = (127, 128, 200, 255)
+    raster[1, 0] = (0, 255, 255)  # only the red channel counts
+    red = mask_from_ppm(raster).red
+    assert red[0, :4].tolist() == [False, True, True, True]
+    assert red.sum() == 3
+    with pytest.raises(ValueError):
+        mask_from_ppm(np.zeros((512, 1024, 3), dtype=np.uint8))
 
 
 def test_oracle_mask_matches_slide_mask(c4_spec, c4_slides):
     _, mask, _ = c4_slides[2]
     regen = generate_mask(c4_spec, 9002)
-    assert (regen.raster == mask.raster).all()
+    assert (regen.red == mask.red).all()
 
 
 def _lesion_crops_by_band_sign(img, mask):
@@ -158,10 +180,11 @@ def test_ppm_roundtrip_single_red_pixel(tmp_path):
 
 def test_ppm_roundtrip_mask_sized(tmp_path, c4_slides):
     _, mask, _ = c4_slides[3]
-    raster = mask.raster * np.uint8(255)
+    raster = mask_to_ppm(mask)
     path = tmp_path / "mask.ppm"
     write_ppm(raster, path)
     np.testing.assert_array_equal(read_ppm(path), raster)
+    np.testing.assert_array_equal(mask_from_ppm(read_ppm(path)).red, mask.red)
 
 
 def test_ppm_truncated_file_reports_offset(tmp_path):
@@ -193,6 +216,13 @@ def test_ppm_trailing_bytes_report_offset(tmp_path):
         read_ppm(path)
     assert e.value.offset == len(full)
     assert "3 trailing bytes" in str(e.value)
+
+
+def test_ppm_header_comment_lines_parse(tmp_path):
+    raster = np.arange(48, dtype=np.uint8).reshape(4, 4, 3)
+    path = tmp_path / "c.ppm"
+    path.write_bytes(b"P6# made by hand\n4 # width\r4\n#\n255\n" + raster.tobytes())
+    np.testing.assert_array_equal(read_ppm(path), raster)
 
 
 def test_ppm_bad_magic(tmp_path):
@@ -248,7 +278,7 @@ def test_dataset_write_load_roundtrip(tmp_path):
     mem = ds.slides[2]
     assert (rec.image().base == mem.image().base).all()
     filed = FileMaskProvider(tmp_path / "ds").mask_for(rec.ident)
-    assert (filed.raster == generate_mask(spec, mem.seed).raster).all()
+    assert (filed.red == generate_mask(spec, mem.seed).red).all()
 
 
 def test_dataset_write_is_reproducible(tmp_path):
@@ -263,6 +293,6 @@ def test_build_dataset_in_memory():
     ds = build_dataset(SynthSpec(), 4, seed=3)
     assert [s.label for s in ds.slides] == [0, 1, 2, 3]
     assert single_scale_caps(ds.spec)[512] == 0.75
+    assert ds.slides[0].ident == "slide_0000"
     img = ds.slides[0].image()
-    assert img.ident == "slide_0000"
     assert img.base.shape == (4096, 4096, 3)
