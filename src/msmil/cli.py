@@ -69,8 +69,9 @@ from .pipeline import (
     train_mil_stage2,
     write_cache,
 )
-from .sffm import CoverageError, FileMaskProvider, MaskFileError, run_sffm, write_refs
-from .synthwsi import PpmError, SpecError, SynthSpec, load_dataset, write_dataset, write_manifest
+from .sffm import CoverageError, FileMaskProvider, run_sffm, write_refs
+from .synthwsi import (PpmError, RasterFileError, SpecError, SynthSpec, load_dataset, write_dataset,
+                       write_manifest)
 
 EXIT_IO = 2
 EXIT_MISSING = 3
@@ -438,7 +439,7 @@ def main(argv=None) -> int:
     except (DivergenceError, NonFiniteFeatureError, UndefinedAucError) as e:
         print(f"numeric failure: {e}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (PpmError, MaskFileError, ParamFormatError, CacheFormatError, OSError) as e:
+    except (PpmError, RasterFileError, ParamFormatError, CacheFormatError, OSError) as e:
         print(f"io error: {e}", file=sys.stderr)
         return EXIT_IO
 

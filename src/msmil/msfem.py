@@ -1,10 +1,11 @@
 """Shared-weight multi-scale patch encoder.
 
-One parameter set serves every crop size: a patch is resized to a fixed
-side, run through a strided conv trunk to an m x m feature map, flattened
-to tokens with a sinusoidal index encoding, and summarized by a learnable
-classification token through pre-norm transformer blocks. The final token
-is projected to the instance feature dimension.
+One parameter set serves every crop size: a d_k px crop shrinks to a fixed
+side S by the whole box factor d_k / S (block means; no resize and no
+upsampling), runs through a strided conv trunk to an m x m feature map, is
+flattened to tokens with a sinusoidal index encoding, and is summarized by
+a learnable classification token through pre-norm transformer blocks. The
+final token is projected to the instance feature dimension.
 
 Patches are encoded in batches: the conv trunk and the row-wise transformer
 pieces stack all patches into one set of matrices, and attention runs
@@ -22,7 +23,7 @@ import numpy as np
 from . import numcore as nc
 from .encoding import sinusoid_table
 from .params import ParamStore, uniform_init
-from .raster import area_resize, bilinear_resize
+from .sffm import SCALE_SIDES
 
 CONV_KERNEL = 3
 CONV_STRIDE = 2
@@ -33,9 +34,15 @@ class ConfigError(Exception):
     pass
 
 
+def check_patch_side(side: int) -> None:
+    """A patch side S divides 512, so a d_k crop shrinks by the whole box factor d_k / S."""
+    if side < 1 or min(SCALE_SIDES) % side:
+        raise ConfigError(f"input side {side} must divide 512, so every patch shrinks by a whole box factor")
+
+
 @dataclass(frozen=True)
 class EncoderConfig:
-    input_side: int = 64          # resize target S (paper-scale 512)
+    input_side: int = 64          # S (paper 512): a crop shrinks by d_k / S (`check_patch_side`)
     widths: tuple[int, ...] = (24, 48, 96, 96)
     token_dim: int = 64           # instance feature dimension d
     depth: int = 2
@@ -44,6 +51,7 @@ class EncoderConfig:
     def __post_init__(self):
         if not self.widths:
             raise ConfigError("need at least one conv stage")
+        check_patch_side(self.input_side)
         if self.input_side % (CONV_STRIDE ** len(self.widths)):
             raise ConfigError(
                 f"input side {self.input_side} not divisible by total stride "
@@ -65,16 +73,6 @@ class EncoderConfig:
     @property
     def seq_len(self) -> int:
         return self.feature_side ** 2 + 1  # tokens plus the classification token
-
-
-def resize_patch(patch: np.ndarray, side: int) -> np.ndarray:
-    """Resize to side x side: area-average shrink, bilinear grow, float64 out."""
-    h, w = patch.shape[:2]
-    if (h, w) == (side, side):
-        return patch.astype(np.float64)
-    if h >= side and w >= side:
-        return area_resize(patch, side, side)
-    return bilinear_resize(patch, side, side)
 
 
 class PatchEncoder:
@@ -170,15 +168,15 @@ class PatchEncoder:
 
     # ------------------------------------------------------------ surface
 
-    def extract_batch(self, resized: np.ndarray) -> nc.Tensor:
-        """(batch, S, S, 3) resized patches -> (batch, token_dim) features.
+    def extract_batch(self, patches: np.ndarray) -> nc.Tensor:
+        """(batch, S, S, 3) patches -> (batch, token_dim) features.
 
         Pixel values are scaled to [0, 1]; parameters are shared across
         scale codes, so the output depends on pixels alone.
         """
-        batch, side = resized.shape[0], resized.shape[1]
+        batch, side = patches.shape[0], patches.shape[1]
         if side != self.cfg.input_side:
-            raise ConfigError(f"expected resized side {self.cfg.input_side}, got {side}")
-        x = nc.tensor(resized.reshape(batch * side * side, 3) / 255.0)
+            raise ConfigError(f"expected patch side {self.cfg.input_side}, got {side}")
+        x = nc.tensor(patches.reshape(batch * side * side, 3) / 255.0)
         feats = self.conv_trunk(x, batch)
         return self.summarize(feats, batch)

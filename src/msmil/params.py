@@ -25,12 +25,6 @@ class ParamStore:
     def __getitem__(self, name: str) -> Tensor:
         return self._by_name[name]
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._by_name
-
-    def __len__(self) -> int:
-        return len(self._by_name)
-
     def names(self) -> list[str]:
         return sorted(self._by_name)
 

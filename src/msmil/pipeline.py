@@ -13,8 +13,8 @@ streams, divergence check and manifest entries. A non-finite loss, or a
 finite loss with a non-finite gradient, stops training before it reaches
 the parameters; a feature not finite as float32 never reaches a cache.
 
-Per-slide crops are resized once into an in-memory bank; crops are pure
-functions of the slide, so the cache changes nothing observable.
+Per-slide patches are box-filtered once into an in-memory bank; they are
+pure functions of the slide, so the cache changes nothing observable.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import numpy as np
 
 from . import numcore as nc
 from .iaam import Bag, IaamConfig, IaamNet
-from .msfem import EncoderConfig, PatchEncoder, resize_patch
+from .msfem import EncoderConfig, PatchEncoder, check_patch_side
 from .params import ParamStore
 from .raster import box_downscale
 from .sffm import (
@@ -37,7 +37,6 @@ from .sffm import (
     OracleMaskProvider,
     PatchRef,
     PatchSet,
-    crop_patch,
     full_grid,
     run_sffm,
 )
@@ -123,7 +122,7 @@ def build_model(encoder_cfg: EncoderConfig, mil_cfg: IaamConfig, seed: int) -> M
 
 @dataclass
 class SlideBank:
-    """Resized crops for every grid position of one slide, plus which of them
+    """Patches for every grid position of one slide, plus which of them
     the lesion filter retained. Patch pixels are pure functions of the slide,
     so caching them is observationally neutral."""
 
@@ -160,15 +159,15 @@ class SlideBank:
 
 
 def build_bank(record: SlideRecord, provider: MaskProvider, resize_side: int) -> SlideBank:
+    check_patch_side(resize_side)  # with 1024 * 2**k slide sides, each crop slices a box level
     image = record.image()
     lesion = run_sffm(image.width, image.height, provider.mask_for(record.ident))
     grid = full_grid(image.width, image.height)
     pos = {r: i for i, r in enumerate(grid)}
     patches = np.empty((len(grid), resize_side, resize_side, 3), dtype=np.float32)
     background = np.empty(len(grid), dtype=bool)
-    # aligned crops resize to exact slices of whole-image box averages;
-    # dyadic-rational block means make the cascade 8 -> 16 -> 32 and the
-    # crop-then-resize path all bitwise-equal
+    # dyadic-rational block means make the cascade 8 -> 16 -> 32 bitwise-equal
+    # to box-filtering the base by each factor directly
     levels: dict[int, np.ndarray] = {}
 
     def level_of(factor: int) -> np.ndarray:
@@ -180,16 +179,11 @@ def build_bank(record: SlideRecord, provider: MaskProvider, resize_side: int) ->
 
     for i, ref in enumerate(grid):
         y0, _, x0, _ = ref.bounds()
-        factor, rem = divmod(ref.d_k, resize_side)
-        if rem == 0 and x0 % factor == 0 and y0 % factor == 0:
-            patch = level_of(factor)[y0 // factor:y0 // factor + resize_side,
-                                     x0 // factor:x0 // factor + resize_side]
-            patches[i] = patch
-            background[i] = bool((patch.mean(axis=(0, 1)) > BACKGROUND_MEAN).all())
-        else:
-            crop = crop_patch(image, ref)
-            background[i] = bool((crop.mean(axis=(0, 1)) > BACKGROUND_MEAN).all())
-            patches[i] = resize_patch(crop, resize_side)
+        factor = ref.d_k // resize_side
+        patch = level_of(factor)[y0 // factor:y0 // factor + resize_side,
+                                 x0 // factor:x0 // factor + resize_side]
+        patches[i] = patch
+        background[i] = bool((patch.mean(axis=(0, 1)) > BACKGROUND_MEAN).all())
     lesion_idx = np.asarray([pos[r] for r in lesion.refs], dtype=np.int64)
     record.drop_cache()
     return SlideBank(record.ident, record.label, image.width, image.height,

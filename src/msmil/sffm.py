@@ -1,5 +1,5 @@
-"""Semantic feature filtering: one walk over the scan grid of the 1024 mask,
-a red-fraction predicate on its windows, and multi-scale patch cropping.
+"""Semantic feature filtering: one walk over the scan grid of the 1024 mask
+and a red-fraction predicate on its windows, giving multi-scale patch refs.
 
 `_walk` is the only tiling. It yields each scan window with the base-pixel
 ref its center maps to; `full_grid(width, height)` is the refs of every
@@ -27,7 +27,7 @@ from typing import Iterable, Protocol
 import numpy as np
 
 from .synthwsi.ppm import read_ppm
-from .synthwsi.pyramid import THUMB_SIDE, LesionMask, PyramidImage, mask_from_ppm
+from .synthwsi.pyramid import THUMB_SIDE, LesionMask, RasterFileError, mask_from_ppm
 
 SCALE_SIDES = (512, 1024, 2048)
 RED_THRESHOLD = 0.7
@@ -37,15 +37,7 @@ class ResolutionError(Exception):
     pass
 
 
-class BoundsError(Exception):
-    pass
-
-
 class CoverageError(Exception):
-    pass
-
-
-class MaskFileError(Exception):
     pass
 
 
@@ -109,7 +101,7 @@ class OracleMaskProvider:
 
 class FileMaskProvider:
     """Reads <root>/<ident>/mask.ppm (layout: `synthwsi.mask_from_ppm`); a
-    file that is not a 1024x1024 raster raises MaskFileError."""
+    file that is not a 1024x1024 raster raises RasterFileError."""
 
     def __init__(self, root: Path):
         self.root = Path(root)
@@ -121,7 +113,7 @@ class FileMaskProvider:
         try:
             return mask_from_ppm(read_ppm(path))
         except ValueError as e:
-            raise MaskFileError(f"{path}: {e}") from None
+            raise RasterFileError(f"{path}: {e}") from None
 
 
 def _spans(step: float) -> list[tuple[int, int]]:
@@ -162,17 +154,6 @@ def red_fraction(mask: LesionMask, window: tuple[int, int, int, int]) -> float:
     x_lo, y_lo, x_hi, y_hi = window
     region = mask.red[y_lo:y_hi, x_lo:x_hi]
     return float(np.count_nonzero(region)) / region.size
-
-
-def crop_patch(image: PyramidImage, ref: PatchRef) -> np.ndarray:
-    """Level-0 pixel copy of the ref's half-open window; never clamps."""
-    if not ref.in_bounds(image.width, image.height):
-        raise BoundsError(
-            f"ref center ({ref.x}, {ref.y}) side {ref.d_k} leaves the "
-            f"{image.width}x{image.height} image"
-        )
-    y0, y1, x0, x1 = ref.bounds()
-    return image.base[y0:y1, x0:x1].copy()
 
 
 def run_sffm(width: int, height: int, mask: LesionMask,

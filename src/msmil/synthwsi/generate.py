@@ -30,7 +30,7 @@ import numpy as np
 
 from ..numcore.rng import Rng
 from .ppm import read_ppm, write_ppm
-from .pyramid import THUMB_SIDE, LesionMask, PyramidImage, mask_to_ppm
+from .pyramid import THUMB_SIDE, LesionMask, PyramidImage, RasterFileError, is_slide_side, mask_to_ppm
 
 
 class SpecError(Exception):
@@ -54,6 +54,10 @@ _LESION = (168, 146, 168)
 
 @dataclass(frozen=True)
 class SynthSpec:
+    """Slide recipe. Sides are 1024 * 2**k px, so each crop starts on a multiple
+    of its own side: macro cells and lesion blocks (8 mask px, 32 px at 4096)
+    stay aligned with every crop, which shrinks by a whole box factor."""
+
     classes: int = 4
     width: int = 4096
     height: int = 4096
@@ -73,8 +77,9 @@ class SynthSpec:
             raise SpecError("micro_period must be 16 or 32 so the 5x resize erases it exactly")
         if self.macro_cell not in (512, 1024, 2048):
             raise SpecError("macro_cell must align with the crop grid (512, 1024 or 2048)")
-        if self.width % THUMB_SIDE or self.height % THUMB_SIDE:
-            raise SpecError("base dims must be multiples of 1024 for exact mask alignment")
+        if not (is_slide_side(self.width) and is_slide_side(self.height)):
+            raise SpecError(f"slide sides must be 1024 * 2**k px so that macro cells and 32 px lesion "
+                            f"blocks stay aligned with every crop, got {self.width}x{self.height}")
 
     def traits(self, label: int) -> tuple[str, str]:
         return _CLASS_TRAITS[label]
@@ -214,7 +219,11 @@ class SlideRecord:
 
     def image(self) -> PyramidImage:
         if self._image is None:
-            self._image = PyramidImage(read_ppm(self.path / "image.ppm"))
+            path = self.path / "image.ppm"
+            try:
+                self._image = PyramidImage(read_ppm(path))
+            except ValueError as e:
+                raise RasterFileError(f"{path}: {e}") from None
         return self._image
 
     def drop_cache(self):

@@ -10,15 +10,15 @@ import numpy as np
 
 
 class PpmError(Exception):
-    def __init__(self, message: str, offset: int):
-        super().__init__(f"{message} (byte offset {offset})")
+    def __init__(self, path, message: str, offset: int):
+        super().__init__(f"{path}: {message} (byte offset {offset})")
         self.offset = offset
 
 
 _SPACE = b" \t\n\v\f\r"  # bytes.isspace()
 
 
-def _next_token(buf: np.ndarray, pos: int) -> tuple[bytes, int]:
+def _next_token(path, buf: np.ndarray, pos: int) -> tuple[bytes, int]:
     n = len(buf)
     while pos < n:
         if buf[pos] == ord("#"):
@@ -29,7 +29,7 @@ def _next_token(buf: np.ndarray, pos: int) -> tuple[bytes, int]:
         else:
             break
     if pos >= n:
-        raise PpmError("unexpected end of header", pos)
+        raise PpmError(path, "unexpected end of header", pos)
     start = pos
     while pos < n and buf[pos] not in _SPACE:
         pos += 1
@@ -44,26 +44,26 @@ def read_ppm(path) -> np.ndarray:
     """
     buf = np.fromfile(path, dtype=np.uint8)
     if bytes(buf[:2]) != b"P6":
-        raise PpmError(f"not a P6 file (magic {bytes(buf[:2])!r})", 0)
+        raise PpmError(path, f"not a P6 file (magic {bytes(buf[:2])!r})", 0)
     pos = 2
     fields = []
     for _ in range(3):
-        tok, pos = _next_token(buf, pos)
+        tok, pos = _next_token(path, buf, pos)
         if not tok.isdigit():
-            raise PpmError(f"expected integer, got {tok!r}", pos - len(tok))
+            raise PpmError(path, f"expected integer, got {tok!r}", pos - len(tok))
         fields.append(int(tok))
     width, height, maxval = fields
     if maxval != 255:
-        raise PpmError(f"unsupported maxval {maxval}", pos - len(str(maxval)))
+        raise PpmError(path, f"unsupported maxval {maxval}", pos - len(str(maxval)))
     if pos >= len(buf) or buf[pos] not in _SPACE:
-        raise PpmError("missing whitespace after maxval", pos)
+        raise PpmError(path, "missing whitespace after maxval", pos)
     pos += 1
     need = width * height * 3
     have = len(buf) - pos
     if have < need:
-        raise PpmError(f"truncated raster: need {need} bytes, have {have}", len(buf))
+        raise PpmError(path, f"truncated raster: need {need} bytes, have {have}", len(buf))
     if have > need:
-        raise PpmError(f"{have - need} trailing bytes after the raster", pos + need)
+        raise PpmError(path, f"{have - need} trailing bytes after the raster", pos + need)
     return buf[pos:].reshape(height, width, 3)
 
 

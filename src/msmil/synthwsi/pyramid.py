@@ -14,17 +14,28 @@ LEVEL_FACTORS = (1, 2, 4, 8, 16)
 THUMB_SIDE = 1024
 
 
+class RasterFileError(Exception):
+    """A raster file that reads as P6 but breaks its size rule; names the path."""
+
+
+def is_slide_side(side: int) -> bool:
+    """The one rule for a slide's width and height: 1024 * 2**k px (`SynthSpec`)."""
+    return side >= THUMB_SIDE and side & (side - 1) == 0
+
+
 class PyramidImage:
     """Base raster plus lazily derived box-filtered levels.
 
     Level k has dims (H // factor, W // factor); reads at any level agree
-    with area-averaging of level 0 to within rounding.
+    with area-averaging of level 0 to within rounding. Sides: `is_slide_side`.
     """
 
     def __init__(self, base: np.ndarray):
         base = np.asarray(base)
         if base.ndim != 3 or base.shape[2] != 3 or base.dtype != np.uint8:
             raise ValueError(f"PyramidImage wants (H, W, 3) uint8, got {base.shape} {base.dtype}")
+        if not (is_slide_side(base.shape[1]) and is_slide_side(base.shape[0])):
+            raise ValueError(f"slide sides must be 1024 * 2**k px, got {base.shape[1]}x{base.shape[0]}")
         self.base = base
         self._levels: dict[int, np.ndarray] = {1: base}
 

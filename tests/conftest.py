@@ -58,13 +58,6 @@ def c4_slides(c4_spec):
     return out
 
 
-@pytest.fixture(scope="session")
-def blank_image_4096():
-    from msmil.synthwsi import PyramidImage
-
-    return PyramidImage(np.full((4096, 4096, 3), 180, dtype=np.uint8))
-
-
 def _inf_gradient(t):
     """Identity in the forward pass, inf in the backward: a finite loss
     whose gradient is not."""

@@ -332,12 +332,21 @@ def test_corrupt_ppm_exit_2(cli_dataset, tmp_path):
     assert rc == 2
 
 
-def test_filter_mask_file_of_wrong_size_exit_2(cli_dataset, tmp_path, capsys):
+def _one_slide_copy(cli_dataset, tmp_path, ident="slide_0002"):
     import shutil
 
     bad = tmp_path / "bad_ds"
-    shutil.copytree(cli_dataset / "slide_0002", bad / "slide_0002")
+    shutil.copytree(cli_dataset / ident, bad / ident)
     shutil.copy(cli_dataset / "manifest.txt", bad)
+    return bad
+
+
+def _one_line(err: str) -> bool:
+    return err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_filter_mask_file_of_wrong_size_exit_2(cli_dataset, tmp_path, capsys):
+    bad = _one_slide_copy(cli_dataset, tmp_path)
     mask = bad / "slide_0002" / "mask.ppm"
     write_ppm(np.zeros((512, 512, 3), dtype=np.uint8), mask)
     capsys.readouterr()
@@ -345,6 +354,53 @@ def test_filter_mask_file_of_wrong_size_exit_2(cli_dataset, tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith(f"io error: {mask}: ") and err.count("\n") == 1
+
+
+def test_filter_cut_mask_file_names_it_exit_2(cli_dataset, tmp_path, capsys):
+    bad = _one_slide_copy(cli_dataset, tmp_path)
+    mask = bad / "slide_0002" / "mask.ppm"
+    mask.write_bytes(mask.read_bytes()[:1000])
+    capsys.readouterr()
+    rc = main(["filter", "--dataset", str(bad), "--slide", "slide_0002", "--mask", "file"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"io error: {mask}: truncated raster: ") and _one_line(err)
+
+
+def test_image_file_breaking_the_side_rule_names_it_exit_2(cli_dataset, tmp_path, capsys):
+    """A slide is 1024 * 2**k px on each side; 1024 x 3072 is refused."""
+    bad = _one_slide_copy(cli_dataset, tmp_path)
+    image = bad / "slide_0002" / "image.ppm"
+    write_ppm(np.full((3072, 1024, 3), 200, dtype=np.uint8), image)
+    capsys.readouterr()
+    rc = main(["filter", "--dataset", str(bad), "--slide", "slide_0002"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"io error: {image}: slide sides must be 1024 * 2**k px")
+    assert _one_line(captured.err)
+
+
+def test_generate_width_breaking_the_side_rule_exit_5(tmp_path, capsys):
+    out = tmp_path / "w3072"
+    rc = main(["generate", "--out", str(out), "--slides", "1", "--width", "3072"])
+    assert rc == 5
+    err = capsys.readouterr().err
+    assert err.startswith("config error: slide sides must be 1024 * 2**k px") and _one_line(err)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("side", ["48", "1024"])
+def test_input_side_not_dividing_512_exit_5(cli_dataset, tmp_path, capsys, side):
+    out = tmp_path / "run"
+    capsys.readouterr()
+    rc = main(["train", "--dataset", str(cli_dataset), "--out", str(out), *TINY_SETS,
+               "--set", f"enc.input_side={side}"])
+    assert rc == 5
+    captured = capsys.readouterr()
+    assert captured.out == "" and _one_line(captured.err)
+    assert captured.err.startswith(f"config error: input side {side} must divide 512")
+    assert not (out / "params.msmp").exists()
 
 
 # ------------------------------------------------- infer / eval / ablate

@@ -3,8 +3,9 @@ import pytest
 
 import msmil.numcore as nc
 from msmil.encoding import sinusoid_table
-from msmil.msfem import CONV_KERNEL, ConfigError, EncoderConfig, PatchEncoder, resize_patch
+from msmil.msfem import CONV_KERNEL, ConfigError, EncoderConfig, PatchEncoder
 from msmil.params import ParamStore
+from msmil.raster import box_downscale
 
 
 def tiny_encoder(seed=1, **kw):
@@ -16,8 +17,10 @@ def tiny_encoder(seed=1, **kw):
 
 
 def encode(enc, patch):
-    """One raw patch through the pipeline's path: resize, then the batch encoder."""
-    return enc.extract_batch(resize_patch(patch, enc.cfg.input_side)[None]).data[0]
+    """One raw patch through the pipeline's path: a whole-factor box shrink,
+    then the batch encoder."""
+    factor = patch.shape[0] // enc.cfg.input_side
+    return enc.extract_batch(box_downscale(patch, factor, factor)[None]).data[0]
 
 
 def feature_map(enc, patch):
@@ -25,37 +28,6 @@ def feature_map(enc, patch):
     side, m = enc.cfg.input_side, enc.cfg.feature_side
     rows = enc.conv_trunk(nc.tensor(patch.reshape(side * side, 3) / 255.0), 1)
     return rows.data.reshape(m, m, enc.cfg.feature_channels)
-
-
-# ------------------------------------------------------------- resize_patch
-
-
-def test_resize_identity():
-    patch = np.arange(27.0).reshape(3, 3, 3)
-    out = resize_patch(patch, 3)
-    np.testing.assert_array_equal(out, patch)
-
-
-def test_resize_constant_patch():
-    patch = np.full((512, 512, 3), 33, dtype=np.uint8)
-    out = resize_patch(patch, 64)
-    assert out.shape == (64, 64, 3)
-    np.testing.assert_allclose(out, 33.0)
-
-
-def test_resize_checkerboard_to_single_pixel():
-    patch = np.zeros((2, 2, 3))
-    patch[0, 0] = patch[1, 1] = 255.0
-    out = resize_patch(patch, 1)
-    np.testing.assert_allclose(out, 127.5)
-
-
-def test_resize_grow_is_bilinear_smooth():
-    patch = np.zeros((2, 2, 3))
-    patch[:, 1] = 100.0
-    out = resize_patch(patch, 4)
-    assert out.shape == (4, 4, 3)
-    assert (np.diff(out[:, :, 0], axis=1) >= 0).all()
 
 
 # -------------------------------------------------------------- conv trunk
@@ -98,8 +70,15 @@ def test_backbone_gradient_check():
 
 
 def test_config_error_on_bad_stride_divisibility():
-    with pytest.raises(ConfigError):
-        EncoderConfig(input_side=50, widths=(4, 8), token_dim=8, depth=1, heads=2)
+    with pytest.raises(ConfigError, match="total stride"):
+        EncoderConfig(input_side=8, widths=(4, 8, 8, 8), token_dim=8, depth=1, heads=2)
+
+
+@pytest.mark.parametrize("side", [0, 48, 1024])
+def test_config_error_on_input_side_not_dividing_512(side):
+    """Only a side that divides 512 makes every crop a whole-factor box shrink."""
+    with pytest.raises(ConfigError, match="must divide 512"):
+        EncoderConfig(input_side=side, widths=(4, 8), token_dim=8, depth=1, heads=2)
 
 
 # ------------------------------------------------------- position encoding
@@ -175,8 +154,8 @@ def test_extract_batch_matches_single(c4_slides):
     enc, _ = tiny_encoder(seed=9)
     img, _, _ = c4_slides[0]
     patches = np.stack([
-        resize_patch(img.base[0:512, 0:512], 16),
-        resize_patch(img.base[1024:3072, 1024:3072], 16),
+        box_downscale(img.base[0:512, 0:512], 32, 32),
+        box_downscale(img.base[1024:3072, 1024:3072], 128, 128),
     ])
     batched = enc.extract_batch(patches).data
     for i in range(2):

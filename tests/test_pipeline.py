@@ -1,3 +1,4 @@
+import hashlib
 from dataclasses import replace
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 import msmil.numcore as nc
 from msmil.iaam import IaamConfig
-from msmil.msfem import EncoderConfig
+from msmil.msfem import ConfigError, EncoderConfig
 from msmil.paramio import ParamFormatError, load_params, read_params, write_params
 from msmil.pipeline import (
     CacheFormatError,
@@ -31,6 +32,30 @@ from msmil.pipeline import (
 from msmil.sffm import OracleMaskProvider
 from msmil.synthwsi import LesionMask
 from tests.conftest import TINY_SIDE, fresh_tiny_model, tiny_model_config
+
+
+# ------------------------------------------------------------------ banks
+
+# SHA-256 over every tiny bank's patches, background flags and lesion_idx, in
+# slide order. Recorded before the crop-and-resize fallback was deleted; a
+# change to how banks are built (say, one integer pyramid) must keep it.
+TINY_BANKS_SHA256 = "8192a746bca5402aa37f99aba99289d5bdb18b493e376b6b8da4e5a8ef267d09"
+
+
+def test_tiny_bank_bytes_are_pinned(tiny_banks):
+    digest = hashlib.sha256()
+    for bank in tiny_banks:
+        for arr in (bank.patches, bank.background, bank.lesion_idx):
+            digest.update(np.ascontiguousarray(arr).tobytes())
+    assert digest.hexdigest() == TINY_BANKS_SHA256
+
+
+@pytest.mark.parametrize("side", [48, 1024])
+def test_build_bank_refuses_a_patch_side_not_dividing_512(tiny_dataset, side):
+    """48 would slice misaligned 480 px windows, 1024 would need upsampling."""
+    ds, provider = tiny_dataset
+    with pytest.raises(ConfigError, match="must divide 512"):
+        build_bank(ds.slides[0], provider, side)
 
 
 # ------------------------------------------------------------ select_batch

@@ -5,7 +5,6 @@ import pytest
 
 from msmil.numcore import Rng
 from msmil.sffm import (
-    BoundsError,
     CoverageError,
     FileMaskProvider,
     OracleMaskProvider,
@@ -14,7 +13,6 @@ from msmil.sffm import (
     ResolutionError,
     _spans,
     _walk,
-    crop_patch,
     full_grid,
     read_refs,
     red_fraction,
@@ -26,11 +24,13 @@ from msmil.synthwsi import (
     LesionMask,
     PyramidImage,
     SlideRecord,
+    SpecError,
     SynthSpec,
     generate_mask,
     mask_to_ppm,
     write_ppm,
 )
+from msmil.synthwsi.pyramid import is_slide_side
 
 
 def make_mask(red: np.ndarray) -> LesionMask:
@@ -142,31 +142,6 @@ def test_border_overflow_refs_are_discarded():
     assert run_sffm(3072, 3072, make_mask(np.ones((1024, 1024))), scales=(2048,)).refs == []
 
 
-# --------------------------------------------------------------- crop_patch
-
-
-def test_crop_patch_window_instantiation(blank_image_4096):
-    ref = PatchRef(256, 256, 512, 0)
-    patch = crop_patch(blank_image_4096, ref)
-    assert patch.shape == (512, 512, 3)
-    np.testing.assert_array_equal(patch, blank_image_4096.base[0:512, 0:512])
-
-
-def test_crop_patch_purity(c4_slides):
-    img, _, _ = c4_slides[0]
-    ref = PatchRef(2048, 2048, 1024, 1)
-    a = crop_patch(img, ref)
-    b = crop_patch(img, ref)
-    assert (a == b).all() and a is not b
-
-
-def test_crop_patch_out_of_bounds_never_clamps(blank_image_4096):
-    with pytest.raises(BoundsError):
-        crop_patch(blank_image_4096, PatchRef(255, 256, 512, 0))
-    with pytest.raises(BoundsError):
-        crop_patch(blank_image_4096, PatchRef(4096 - 255, 2048, 512, 0))
-
-
 # ----------------------------------------------------------------- run_sffm
 
 
@@ -212,16 +187,44 @@ def test_file_provider_matches_oracle(tmp_path, c4_slides):
     assert run_sffm(4096, 4096, mask).refs == run_sffm(4096, 4096, filed).refs
 
 
-@pytest.mark.parametrize("width,height", [(3072, 3072), (4096, 4096), (2048, 6144)])
+@pytest.mark.parametrize("width,height", [(3072, 3072), (4096, 4096), (2048, 6144), (2048, 8192)])
 def test_lesion_refs_are_an_ordered_subsequence_of_the_grid(width, height):
     mask = make_mask(random_blobby_mask(Rng(width + height)))
     lesion = run_sffm(width, height, mask).refs
     grid = iter(full_grid(width, height))
     assert lesion and all(ref in grid for ref in lesion)
+    if not is_slide_side(width) or not is_slide_side(height):
+        # the grid is defined at any side; slides only at 1024 * 2**k
+        with pytest.raises(ValueError, match="1024"):
+            blank_image(width, height)
+        return
     record = SlideRecord("blank", 0, width, height, 0, _image=blank_image(width, height))
     bank = build_bank(record, OracleMaskProvider({"blank": mask}), 8)
     assert len(bank.lesion_idx) == len(lesion)
     assert (np.diff(bank.lesion_idx) > 0).all()
+
+
+def test_slide_size_rule_makes_every_grid_crop_a_box_slice():
+    """Slides are 1024 * 2**k px and patch sides power-of-two divisors of 512,
+    so every grid crop shrinks by a whole factor from a box-aligned origin."""
+    for n in range(1, 17):
+        try:
+            SynthSpec(width=1024 * n)
+            accepted = True
+        except SpecError:
+            accepted = False
+        assert accepted == (n & (n - 1) == 0), n
+    sides = [1024 << k for k in range(5)]
+    for width in sides:
+        for height in sides:
+            refs = full_grid(width, height)
+            assert refs
+            for side in (8, 16, 32, 64, 128, 256, 512):
+                for ref in refs:
+                    y0, _, x0, _ = ref.bounds()
+                    factor = ref.d_k // side
+                    assert ref.d_k % side == 0 and x0 % factor == 0 and y0 % factor == 0, \
+                        (width, height, side, ref)
 
 
 # --------------------------------------------------- brute-force properties
@@ -251,13 +254,11 @@ def test_retained_set_equals_brute_force_50_random_masks():
             assert sorted(got) == sorted(want), f"trial {trial}, d_k {d_k}"
 
 
-def test_all_emitted_refs_are_croppable(blank_image_4096):
+def test_all_emitted_refs_are_croppable():
     rng = Rng(777)
     for _ in range(20):
         ps = run_sffm(4096, 4096, make_mask(random_blobby_mask(rng)))
-        for ref in ps.refs:
-            patch = crop_patch(blank_image_4096, ref)
-            assert patch.shape == (ref.d_k, ref.d_k, 3)
+        assert all(ref.in_bounds(4096, 4096) for ref in ps.refs)
 
 
 def test_growing_red_region_never_removes_refs():

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -196,6 +197,7 @@ def test_ppm_truncated_file_reports_offset(tmp_path):
     with pytest.raises(PpmError) as e:
         read_ppm(path)
     assert e.value.offset == len(full) - 5
+    assert str(e.value).startswith(f"{path}: truncated raster: ")
 
 
 def test_ppm_header_cut_inside_the_dimensions(tmp_path):
@@ -241,11 +243,12 @@ def test_ppm_bad_header_token(tmp_path):
 
 def test_ppm_header_errors_quote_the_bytes_read(tmp_path):
     path = tmp_path / "bad.ppm"
+    at = re.escape(f"{path}: ")
     path.write_bytes(b"P5\n2 2\n255\n" + bytes(12))
-    with pytest.raises(PpmError, match=r"^not a P6 file \(magic b'P5'\) \(byte offset 0\)$"):
+    with pytest.raises(PpmError, match=rf"^{at}not a P6 file \(magic b'P5'\) \(byte offset 0\)$"):
         read_ppm(path)
     path.write_bytes(b"P6\nxx 2\n255\n")
-    with pytest.raises(PpmError, match=r"^expected integer, got b'xx' \(byte offset 3\)$"):
+    with pytest.raises(PpmError, match=rf"^{at}expected integer, got b'xx' \(byte offset 3\)$"):
         read_ppm(path)
 
 
