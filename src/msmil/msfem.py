@@ -9,9 +9,12 @@ final token is projected to the instance feature dimension.
 
 Patches are encoded in batches: the conv trunk and the row-wise transformer
 pieces stack all patches into one set of matrices, and attention runs
-block-wise per patch inside a single fused op. Each conv stage is one
-`nc.conv` node: the tape holds the stage's input map, not its unfolded
-k*k*c_in columns, which the backward unfolds again for the weight gradient.
+block-wise per patch inside a single fused op. Each conv stage (conv, per-
+position channel norm, SiLU) is one `nc.conv_stage` node, computed over
+spans of whole patches: the tape holds the stage's input map, its
+standardized map and each position's 1/std, not the unfolded k*k*c_in
+columns, the conv output or the norm output. The backward unfolds the
+columns again span by span, so its temporaries do not grow with the batch.
 """
 
 from __future__ import annotations
@@ -129,9 +132,9 @@ class PatchEncoder:
         """(batch*S*S, 3) pixel rows -> (batch*m*m, c_f) feature rows."""
         side = self.cfg.input_side
         for i in range(len(self.cfg.widths)):
-            pre = nc.conv(x, self._p(f"conv{i}.w"), self._p(f"conv{i}.b"),
-                          batch, side, CONV_KERNEL, CONV_STRIDE, CONV_PAD)
-            x = nc.silu(nc.layer_norm(pre, self._p(f"conv{i}.ln.g"), self._p(f"conv{i}.ln.b")))
+            x = nc.conv_stage(x, self._p(f"conv{i}.w"), self._p(f"conv{i}.b"),
+                              self._p(f"conv{i}.ln.g"), self._p(f"conv{i}.ln.b"),
+                              batch, side, CONV_KERNEL, CONV_STRIDE, CONV_PAD)
             side = (side + 2 * CONV_PAD - CONV_KERNEL) // CONV_STRIDE + 1
         return x
 

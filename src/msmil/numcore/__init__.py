@@ -8,7 +8,7 @@ from .engine import (
     attention,
     block_self_attention,
     concat_rows,
-    conv,
+    conv_stage,
     conv_unfold,
     cross_entropy,
     gather_rows,
@@ -33,7 +33,7 @@ from .rng import Rng
 
 __all__ = [
     "EngineError", "Graph", "LabelError", "ShapeError", "Tensor",
-    "add", "attention", "block_self_attention", "concat_rows", "conv", "conv_unfold",
+    "add", "attention", "block_self_attention", "concat_rows", "conv_stage", "conv_unfold",
     "cross_entropy", "gather_rows", "layer_norm", "linear", "matmul", "mul", "param",
     "record", "scale", "sigmoid", "silu",
     "slice_cols", "softmax_rows", "sum_all", "tensor",

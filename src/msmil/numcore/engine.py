@@ -21,15 +21,21 @@ rows and keeps no (rows, keys) array: the tape holds q, k, v, each row's max
 and sum, and the output, and the vjp recomputes each block's probabilities
 from them. Its memory grows with rows plus keys, not with their product.
 
-`conv` is one conv stage, `conv_unfold` followed by `linear`, as one node.
-Its tape keeps the input map, the weight and the bias, not the
-(rows, k*k*c_in) unfolded columns. The vjp folds g @ w.T back onto the map
-(skipped when the map needs no gradient, as for pixels), and only then
-unfolds the input again to form cols.T @ g, so the two column-sized
-temporaries never exist together. The trade is one extra unfold per stage
-in the backward for the columns' memory on the tape; the forward and every
-gradient have the bits of the two-node chain. The two ops share one unfold
-and one fold.
+`conv_stage` is one encoder conv stage, silu(layer_norm(conv(x))), as one
+node computed over spans of whole patches whose unfolded columns stay under
+`_CONV_SPAN` elements. Its tape keeps the input map, the standardized map
+and each row's 1/std: not the (rows, k*k*c_in) columns, the conv output or
+the norm output. The vjp runs the whole chain per span. It recomputes the
+SiLU input from the standardized map, folds the pre-norm gradient @ w.T back
+onto the input map (skipped when the map needs no gradient, as for pixels),
+and only then unfolds that span's columns again for the weight gradient. So
+no backward temporary grows with the batch, at the cost of one extra unfold
+per stage. With one span, the forward and every gradient have the bits of
+the conv_unfold/linear/layer_norm/silu chain. Over several spans the
+parameter gradients are sums of per-span sums, and the forward keeps the
+chain's bits as long as BLAS gives a span's rows the bits it gives them in
+the whole batch: it does at the encoder's shapes, but not for a one-row
+span. `layer_norm` and `silu` share their row-norm and SiLU math with it.
 
 Gradient rules are verified against central finite differences by
 `gradcheck.finite_diff_check`; keep any new op covered there.
@@ -141,8 +147,13 @@ def record():
         _active.pop()
 
 
+def _recording(inputs: tuple) -> bool:
+    """Whether an op on `inputs` goes on the tape."""
+    return bool(_active) and any(t.requires_grad for t in inputs)
+
+
 def _emit(out: Tensor, inputs: tuple, vjp: Callable) -> None:
-    if _active and any(t.requires_grad for t in inputs):
+    if _recording(inputs):
         out.requires_grad = True
         _active[-1].nodes.append(_Node(out, inputs, vjp))
 
@@ -229,9 +240,9 @@ def sum_all(a: Tensor) -> Tensor:
 # ------------------------------------------------------------ nonlinearities
 
 
-def _logistic(x: np.ndarray) -> np.ndarray:
-    """1 / (1 + exp(-x)) in one buffer."""
-    s = np.negative(x)
+def _logistic(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """1 / (1 + exp(-x)) in one buffer, `out` when given."""
+    s = np.negative(x, out=out)
     np.exp(s, out=s)
     s += 1.0
     return np.divide(1.0, s, out=s)
@@ -244,23 +255,27 @@ def sigmoid(a: Tensor) -> Tensor:
     return out
 
 
+def _silu(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    y = _logistic(a, out)
+    y *= a
+    return y
+
+
+def _silu_grad(g: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """g * silu'(a); the sigmoid is recomputed from the input, not held on a tape."""
+    s = _logistic(a)
+    ga = g * s
+    np.subtract(1.0, s, out=s)      # 1 + x * (1 - s)
+    s *= a
+    s += 1.0
+    ga *= s
+    return ga
+
+
 def silu(a: Tensor) -> Tensor:
     """x * sigmoid(x); smooth everywhere, which keeps finite-difference checks clean."""
-    y = _logistic(a.data)
-    y *= a.data
-    out = Tensor(y)
-
-    def vjp(g):
-        # the sigmoid is recomputed from the kept input, not held on the tape
-        s = _logistic(a.data)
-        ga = g * s
-        np.subtract(1.0, s, out=s)      # 1 + x * (1 - s)
-        s *= a.data
-        s += 1.0
-        ga *= s
-        return (ga,)
-
-    _emit(out, (a,), vjp)
+    out = Tensor(_silu(a.data))
+    _emit(out, (a,), lambda g: (_silu_grad(g, a.data),))
     return out
 
 
@@ -282,44 +297,69 @@ def softmax_rows(a: Tensor) -> Tensor:
     return out
 
 
-def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Per-row standardization followed by elementwise affine."""
-    ad = a.data
+_NORM_EPS = 1e-5
+
+
+def _standardize(ad: np.ndarray, eps: float, out: np.ndarray | None = None):
+    """Rows of `ad` to zero mean and unit variance, by the steps of ad.mean and
+    ad.var: (xhat, mean, inv) with xhat = (ad - mean) * inv, written into `out`
+    when given."""
     cols = ad.shape[-1]
-    if cols < 2:
-        raise ShapeError(f"layer_norm needs >= 2 columns, got row length {cols}")
-    if eps <= 0:
-        raise ValueError("layer_norm eps must be positive")
-    # the steps of ad.mean and ad.var, then the affine in place; xhat is
-    # recomputed in the vjp from the kept input instead of held on the tape
     mean = ad.sum(axis=-1, keepdims=True)
     mean /= cols
-    y = ad - mean
+    y = np.subtract(ad, mean, out=out)
     var = np.multiply(y, y).sum(axis=-1, keepdims=True)
     var /= cols
     inv = 1.0 / np.sqrt(var + eps)
     y *= inv
+    return y, mean, inv
+
+
+def _norm_grad(g: np.ndarray, xhat: np.ndarray, inv: np.ndarray, gain: np.ndarray,
+               want_map: bool = True):
+    """Gradients of xhat * gain + bias, xhat the standardized rows of a map:
+    (map or None, gain, bias), the last two as (1, cols) column sums."""
+    tmp = g * xhat
+    ggain = tmp.sum(axis=0, keepdims=True)
+    gbias = g.sum(axis=0, keepdims=True)
+    if not want_map:
+        return None, ggain, gbias
+    # inv * (gy - mean(gy) - xhat * mean(gy * xhat)) with gy = g * gain
+    ga = g * gain
+    np.multiply(ga, xhat, out=tmp)
+    proj = tmp.mean(axis=-1, keepdims=True)
+    ga -= ga.mean(axis=-1, keepdims=True)
+    np.multiply(xhat, proj, out=tmp)
+    ga -= tmp
+    ga *= inv
+    return ga, ggain, gbias
+
+
+def _check_norm_cols(cols: int, op: str) -> None:
+    if cols < 2:
+        raise ShapeError(f"{op} needs >= 2 columns, got row length {cols}")
+
+
+def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = _NORM_EPS) -> Tensor:
+    """Per-row standardization followed by elementwise affine."""
+    ad = a.data
+    _check_norm_cols(ad.shape[-1], "layer_norm")
+    if eps <= 0:
+        raise ValueError("layer_norm eps must be positive")
+    # the affine in place; xhat is recomputed in the vjp from the kept input
+    # instead of held on the tape
+    y, mean, inv = _standardize(ad, eps)
     y *= gain.data
     y += bias.data
     out = Tensor(y)
 
     def vjp(g):
-        # inv * (gy - mean(gy) - xhat * mean(gy * xhat)) with gy = g * gain
         xhat = ad - mean
         xhat *= inv
-        tmp = g * xhat
-        ggain = tmp.sum(axis=0, keepdims=True).reshape(gain.data.shape) if gain.requires_grad else None
-        gbias = g.sum(axis=0, keepdims=True).reshape(bias.data.shape) if bias.requires_grad else None
-        ga = None
-        if a.requires_grad:
-            ga = g * gain.data
-            np.multiply(ga, xhat, out=tmp)
-            proj = tmp.mean(axis=-1, keepdims=True)
-            ga -= ga.mean(axis=-1, keepdims=True)
-            np.multiply(xhat, proj, out=tmp)
-            ga -= tmp
-            ga *= inv
-        return (ga, ggain, gbias)
+        ga, ggain, gbias = _norm_grad(g, xhat, inv, gain.data, a.requires_grad)
+        return (ga,
+                ggain.reshape(gain.data.shape) if gain.requires_grad else None,
+                gbias.reshape(bias.data.shape) if bias.requires_grad else None)
 
     _emit(out, (a, gain, bias), vjp)
     return out
@@ -424,15 +464,16 @@ def _unfold(xd: np.ndarray, batch: int, side: int, k: int, stride: int, pad: int
     return np.ascontiguousarray(cols)
 
 
-def _fold(gcols: np.ndarray, batch: int, side: int, k: int, stride: int, pad: int,
-          out_side: int) -> np.ndarray:
-    """Adjoint of `_unfold`: window-row gradients summed back onto the map rows.
+def _fold(gcols: np.ndarray, ga: np.ndarray, k: int, stride: int, pad: int,
+          out_side: int) -> None:
+    """Adjoint of `_unfold`: window-row gradients added onto the
+    (batch, side, side, ch) map gradient `ga`.
 
     Scatters straight into the unpadded map: taps on the padding are dropped,
     the rest add in the same (ky, kx) order. Per kernel offset d: the output
     positions whose tap lands inside the map, and the input positions they read.
     """
-    ch = gcols.shape[1] // (k * k)
+    batch, side, _, ch = ga.shape
     taps = []
     for d in range(k):
         lo = max(0, -(-(pad - d) // stride))
@@ -440,11 +481,9 @@ def _fold(gcols: np.ndarray, batch: int, side: int, k: int, stride: int, pad: in
         first = d + stride * lo - pad
         taps.append((d, slice(lo, hi), slice(first, first + stride * (hi - lo), stride)))
     gr = gcols.reshape(batch, out_side, out_side, k, k, ch)
-    ga = np.zeros((batch, side, side, ch))
     for ky, oy, iy in taps:
         for kx, ox, ix in taps:
             ga[:, iy, ix] += gr[:, oy, ox, ky, kx]
-    return ga.reshape(batch * side * side, ch)
 
 
 def conv_unfold(a: Tensor, batch: int, side: int, k: int, stride: int, pad: int) -> Tensor:
@@ -456,34 +495,86 @@ def conv_unfold(a: Tensor, batch: int, side: int, k: int, stride: int, pad: int)
     """
     out_side = _conv_side(a.data.shape[0], batch, side, k, stride, pad, "conv_unfold")
     out = Tensor(_unfold(a.data, batch, side, k, stride, pad, out_side))
-    _emit(out, (a,), lambda g: (_fold(g, batch, side, k, stride, pad, out_side),))
+
+    def vjp(g):
+        ga = np.zeros((batch, side, side, a.data.shape[1]))
+        _fold(g, ga, k, stride, pad, out_side)
+        return (ga.reshape(a.data.shape),)
+
+    _emit(out, (a,), vjp)
     return out
 
 
-def conv(x: Tensor, w: Tensor, b: Tensor, batch: int, side: int, k: int, stride: int,
-         pad: int) -> Tensor:
-    """One conv stage, `linear(conv_unfold(x, ...), w, b)`, as one node with the same bits.
+# unfolded columns per span of whole patches in `conv_stage`: 4 MiB of float64
+_CONV_SPAN = 2 ** 19
 
-    The unfolded columns are dropped once multiplied: the tape keeps x, w
-    and b, and the vjp rebuilds the columns from x for the weight gradient.
+
+def conv_stage(x: Tensor, w: Tensor, b: Tensor, gain: Tensor, bias: Tensor, batch: int,
+               side: int, k: int, stride: int, pad: int) -> Tensor:
+    """silu(layer_norm(linear(conv_unfold(x, ...), w, b), gain, bias)) as one
+    node, computed over spans of whole patches (see the module docstring).
+
+    The tape keeps x, the standardized map xhat and each row's 1/std. The vjp
+    adds the w, b, gain and bias gradients up over the spans.
     """
-    xd, wd, bd = x.data, w.data, b.data
-    out_side = _conv_side(xd.shape[0], batch, side, k, stride, pad, "conv")
+    xd, wd, bd, gd, sd = x.data, w.data, b.data, gain.data, bias.data
+    out_side = _conv_side(xd.shape[0], batch, side, k, stride, pad, "conv_stage")
     if (xd.ndim != 2 or wd.ndim != 2 or wd.shape[0] != k * k * xd.shape[1]
-            or bd.shape != (1, wd.shape[1])):
-        raise ShapeError(f"conv shape mismatch: {xd.shape} in {k}x{k} windows x {wd.shape} + {bd.shape}")
-    y = _unfold(xd, batch, side, k, stride, pad, out_side) @ wd
-    y += bd
+            or not bd.shape == gd.shape == sd.shape == (1, wd.shape[1])):
+        raise ShapeError(f"conv_stage shape mismatch: {xd.shape} in {k}x{k} windows x {wd.shape} "
+                         f"+ {bd.shape}, norm {gd.shape} {sd.shape}")
+    _check_norm_cols(wd.shape[1], "conv_stage")
+    n_in, n_out = side * side, out_side * out_side
+    per = max(1, _CONV_SPAN // (n_out * wd.shape[0]))
+    spans = [(p0, min(batch, p0 + per)) for p0 in range(0, batch, per)]
+    keep = _recording((x, w, b, gain, bias))
+    y = np.empty((batch * n_out, wd.shape[1]))
+    xhat = np.empty_like(y) if keep else None
+    inv = np.empty((batch * n_out, 1)) if keep else None
+    for p0, p1 in spans:
+        r = slice(p0 * n_out, p1 * n_out)
+        pre = _unfold(xd[p0 * n_in:p1 * n_in], p1 - p0, side, k, stride, pad, out_side) @ wd
+        pre += bd
+        xh, _, inv_r = _standardize(pre, _NORM_EPS, out=xhat[r] if keep else pre)
+        if keep:
+            inv[r] = inv_r
+        z = np.multiply(xh, gd, out=pre)
+        z += sd
+        _silu(z, out=y[r])
     out = Tensor(y)
 
     def vjp(g):
-        # the map gradient first, so its (rows, k*k*ch) product is freed
-        # before the columns are unfolded again
-        gx = _fold(g @ wd.T, batch, side, k, stride, pad, out_side) if x.requires_grad else None
-        gw = _unfold(xd, batch, side, k, stride, pad, out_side).T @ g if w.requires_grad else None
-        return (gx, gw, g.sum(axis=0, keepdims=True) if b.requires_grad else None)
+        gx = np.zeros((batch, side, side, xd.shape[1])) if x.requires_grad else None
 
-    _emit(out, (x, w, b), vjp)
+        def span(p0, p1):
+            # a function, so each span's temporaries are freed before the next's
+            r = slice(p0 * n_out, p1 * n_out)
+            xh = xhat[r]
+            z = xh * gd
+            z += sd
+            gpre, ggain, gbias = _norm_grad(_silu_grad(g[r], z), xh, inv[r], gd)
+            del z
+            # the map gradient first, so its (rows, k*k*ch) product is freed
+            # before the columns are unfolded again
+            if gx is not None:
+                _fold(gpre @ wd.T, gx[p0:p1], k, stride, pad, out_side)
+            gw = None
+            if w.requires_grad:
+                gw = _unfold(xd[p0 * n_in:p1 * n_in], p1 - p0, side, k, stride, pad, out_side).T @ gpre
+            return [gw, gpre.sum(axis=0, keepdims=True), ggain, gbias]
+
+        sums = span(*spans[0])                          # w, b, gain, bias
+        for p0, p1 in spans[1:]:
+            for i, part in enumerate(span(p0, p1)):
+                if part is not None:
+                    sums[i] += part
+        gw, gb, ggain, gbias = sums
+        return (None if gx is None else gx.reshape(xd.shape), gw,
+                gb if b.requires_grad else None,
+                ggain if gain.requires_grad else None,
+                gbias if bias.requires_grad else None)
+
+    _emit(out, (x, w, b, gain, bias), vjp)
     return out
 
 
@@ -577,24 +668,25 @@ def block_self_attention(qkv: Tensor, seq_len: int, n_heads: int) -> Tensor:
         part = np.ascontiguousarray(qkv.data[:, i * dim:(i + 1) * dim])
         return part.reshape(batch, seq_len, n_heads, hd).transpose(0, 2, 1, 3)
 
-    qh, kh, vh = split(0), split(1), split(2)
-    scores = np.einsum("bhid,bhjd->bhij", qh, kh) * inv
-    scores -= scores.max(axis=-1, keepdims=True)
-    e = np.exp(scores)
-    attn = e / e.sum(axis=-1, keepdims=True)
-    ctx = np.einsum("bhij,bhjd->bhid", attn, vh)
+    qh, kh, vh = split(0), split(1), split(2)           # (batch, heads, seq, hd)
+    attn = qh @ kh.transpose(0, 1, 3, 2)
+    attn *= inv
+    attn -= attn.max(axis=-1, keepdims=True)
+    np.exp(attn, out=attn)
+    attn /= attn.sum(axis=-1, keepdims=True)
+    ctx = attn @ vh
     out = Tensor(np.ascontiguousarray(ctx.transpose(0, 2, 1, 3).reshape(rows, dim)))
 
     def vjp(g):
         gh = g.reshape(batch, seq_len, n_heads, hd).transpose(0, 2, 1, 3)
-        gv = np.einsum("bhij,bhid->bhjd", attn, gh)
-        gattn = np.einsum("bhid,bhjd->bhij", gh, vh)
-        gscores = attn * (gattn - (gattn * attn).sum(axis=-1, keepdims=True))
-        gq = np.einsum("bhij,bhjd->bhid", gscores, kh) * inv
-        gk = np.einsum("bhij,bhid->bhjd", gscores, qh) * inv
         gqkv = np.empty((batch, seq_len, 3, n_heads, hd))
-        for i, part in enumerate((gq, gk, gv)):
-            gqkv[:, :, i] = part.transpose(0, 2, 1, 3)
+        gqkv[:, :, 2] = (attn.transpose(0, 1, 3, 2) @ gh).transpose(0, 2, 1, 3)
+        gscores = gh @ vh.transpose(0, 1, 3, 2)
+        gscores -= (gscores * attn).sum(axis=-1, keepdims=True)
+        gscores *= attn
+        gscores *= inv
+        gqkv[:, :, 0] = (gscores @ kh).transpose(0, 2, 1, 3)
+        gqkv[:, :, 1] = (gscores.transpose(0, 1, 3, 2) @ qh).transpose(0, 2, 1, 3)
         return (gqkv.reshape(rows, width),)
 
     _emit(out, (qkv,), vjp)

@@ -166,8 +166,9 @@ def build_bank(record: SlideRecord, provider: MaskProvider, resize_side: int) ->
     pos = {r: i for i, r in enumerate(grid)}
     patches = np.empty((len(grid), resize_side, resize_side, 3), dtype=np.float32)
     background = np.empty(len(grid), dtype=bool)
-    # dyadic-rational block means make the cascade 8 -> 16 -> 32 bitwise-equal
-    # to box-filtering the base by each factor directly
+    # dyadic-rational block means make the cascade 8 -> 16 -> 32 -> d_k
+    # bitwise-equal to box-filtering the base by each factor directly, so a
+    # patch's channel means are one cell of the factor-d_k level
     levels: dict[int, np.ndarray] = {}
 
     def level_of(factor: int) -> np.ndarray:
@@ -183,7 +184,7 @@ def build_bank(record: SlideRecord, provider: MaskProvider, resize_side: int) ->
         patch = level_of(factor)[y0 // factor:y0 // factor + resize_side,
                                  x0 // factor:x0 // factor + resize_side]
         patches[i] = patch
-        background[i] = bool((patch.mean(axis=(0, 1)) > BACKGROUND_MEAN).all())
+        background[i] = bool((level_of(ref.d_k)[y0 // ref.d_k, x0 // ref.d_k] > BACKGROUND_MEAN).all())
     lesion_idx = np.asarray([pos[r] for r in lesion.refs], dtype=np.int64)
     record.drop_cache()
     return SlideBank(record.ident, record.label, image.width, image.height,

@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import msmil.numcore as nc
+from msmil.numcore import engine
 from msmil.encoding import sinusoid_table
-from msmil.msfem import CONV_KERNEL, ConfigError, EncoderConfig, PatchEncoder
+from msmil.msfem import CONV_KERNEL, CONV_PAD, CONV_STRIDE, ConfigError, EncoderConfig, PatchEncoder
 from msmil.params import ParamStore
 from msmil.raster import box_downscale
 
@@ -191,9 +194,15 @@ def _tape_arrays(graph):
 
 def test_encoder_tape_keeps_no_unfolded_conv_columns():
     """A recorded encoder pass holds no (rows, k*k*c_in) window array for
-    any conv stage; the conv vjp unfolds them again when it runs."""
+    any conv stage, and no stage's conv output or norm output: the
+    conv_stage vjp unfolds the columns again and recomputes the SiLU input
+    from the standardized map it keeps."""
     cfg = EncoderConfig()
-    enc = PatchEncoder(cfg, ParamStore(), nc.Rng(5))
+    store = ParamStore()
+    enc = PatchEncoder(cfg, store, nc.Rng(5))
+    for name, t in store.items():
+        if ".ln." in name:  # at gain 1 and bias 0 the norm output is the standardized map
+            t.data += 0.25
     rng = nc.Rng(6)
     side = cfg.input_side
     patches = (rng.uniform(2 * side * side * 3) * 255).reshape(2, side, side, 3)
@@ -205,3 +214,41 @@ def test_encoder_tape_keeps_no_unfolded_conv_columns():
     assert wide == []
     # what the weight gradient needs instead: each stage's input, pixels included
     assert any(a.shape == (2 * side * side, 3) for a in arrays)
+    x = nc.tensor(patches.reshape(2 * side * side, 3) / 255.0)
+    for i in range(len(cfg.widths)):
+        p = lambda n: store[f"enc.conv{i}.{n}"]
+        pre = nc.linear(nc.conv_unfold(x, 2, side, CONV_KERNEL, CONV_STRIDE, CONV_PAD), p("w"), p("b"))
+        normed = nc.layer_norm(pre, p("ln.g"), p("ln.b"))
+        x = nc.silu(normed)
+        side //= CONV_STRIDE
+        same_shape = [a for a in arrays if a.shape == pre.shape]
+        assert any(np.array_equal(a, x.data) for a in same_shape)      # the stage output
+        assert not any(np.array_equal(a, pre.data) or np.array_equal(a, normed.data) for a in same_shape)
+
+
+def test_conv_stage_backward_peak_is_set_by_the_span_not_the_batch():
+    """Heap peak of one conv stage's vjp above its live tape, less the map
+    gradient it returns: bounded by the span's column budget, and the same
+    at batch 64 as at batch 16."""
+    cfg = EncoderConfig()
+    side, c_in, c_out = cfg.input_side // CONV_STRIDE, cfg.widths[0], cfg.widths[1]
+    rng = nc.Rng(7)
+
+    def excess(batch):
+        x = nc.param(rng.normal(batch * side * side * c_in).reshape(-1, c_in))
+        w = nc.param(rng.normal(CONV_KERNEL ** 2 * c_in * c_out).reshape(-1, c_out) * 0.1)
+        b, gain, bias = (nc.param(rng.normal(c_out).reshape(1, c_out)) for _ in range(3))
+        with nc.record() as graph:
+            out = nc.conv_stage(x, w, b, gain, bias, batch, side, CONV_KERNEL, CONV_STRIDE, CONV_PAD)
+        g = rng.normal(out.data.size).reshape(out.shape)
+        tracemalloc.start()
+        try:
+            grads = graph.nodes[-1].vjp(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak - grads[0].nbytes
+
+    small, large = excess(16), excess(64)
+    assert large <= 2 * engine._CONV_SPAN * 8
+    assert large <= 1.1 * small

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import msmil.numcore as nc
+from msmil.numcore import engine
 from msmil.numcore import Rng, Tensor
 
 
@@ -284,19 +285,29 @@ def test_conv_unfold_finite_diff():
 def test_conv_finite_diff():
     rng = Rng(305)
     x = nc.param(_rand(rng, 2 * 4 * 4, 3))
-    w = nc.param(_rand(rng, 9 * 3, 2) * 0.3)
-    b = nc.param(_rand(rng, 1, 2) * 0.3)
-    f = lambda: nc.sum_all(nc.silu(nc.conv(x, w, b, 2, 4, 3, 2, 1)))
-    assert nc.finite_diff_check(f, [x, w, b]) < 1e-4
+    w = nc.param(_rand(rng, 9 * 3, 4) * 0.3)
+    b = nc.param(_rand(rng, 1, 4) * 0.3)
+    gain = nc.param(1.0 + _rand(rng, 1, 4) * 0.3)
+    bias = nc.param(_rand(rng, 1, 4) * 0.3)
+    weights = nc.tensor(_rand(rng, 2 * 2 * 2, 4))
+    f = lambda: nc.sum_all(nc.mul(nc.conv_stage(x, w, b, gain, bias, 2, 4, 3, 2, 1), weights))
+    assert nc.finite_diff_check(f, [x, w, b, gain, bias]) < 1e-4
 
 
 def test_conv_shape_error_names_the_shapes():
     x = nc.tensor(np.zeros((2 * 4 * 4, 3)))
+    row = nc.tensor(np.zeros((1, 5)))
     with pytest.raises(nc.ShapeError) as e:
-        nc.conv(x, nc.tensor(np.zeros((9 * 2, 5))), nc.tensor(np.zeros((1, 5))), 2, 4, 3, 2, 1)
+        nc.conv_stage(x, nc.tensor(np.zeros((9 * 2, 5))), row, row, row, 2, 4, 3, 2, 1)
     assert "(32, 3)" in str(e.value) and "(18, 5)" in str(e.value)
-    with pytest.raises(nc.ShapeError, match="conv rows 32"):
-        nc.conv(x, nc.tensor(np.zeros((27, 5))), nc.tensor(np.zeros((1, 5))), 1, 4, 3, 2, 1)
+    with pytest.raises(nc.ShapeError, match="conv_stage rows 32"):
+        nc.conv_stage(x, nc.tensor(np.zeros((27, 5))), row, row, row, 1, 4, 3, 2, 1)
+    with pytest.raises(nc.ShapeError) as e:
+        nc.conv_stage(x, nc.tensor(np.zeros((27, 5))), row, nc.tensor(np.ones((1, 4))), row, 2, 4, 3, 2, 1)
+    assert "(1, 4)" in str(e.value)
+    with pytest.raises(nc.ShapeError, match="conv_stage needs >= 2 columns"):
+        one = nc.tensor(np.zeros((1, 1)))
+        nc.conv_stage(x, nc.tensor(np.zeros((27, 1))), one, one, one, 2, 4, 3, 2, 1)
 
 
 def test_block_attention_finite_diff():
@@ -456,8 +467,9 @@ def _contract_cases(rng):
         "attention": ([a, _rand(rng, 5, 3), _rand(rng, 5, 2)], lambda x, y, z: nc.attention(x, y, z, 0.5)),
         "block_self_attention": ([_rand(rng, 6, 12)], lambda t: nc.block_self_attention(t, 3, 2)),
         "concat_rows": ([a, c], lambda x, y: nc.concat_rows([x, y])),
-        "conv": ([_rand(rng, 2 * 4 * 4, 2), _rand(rng, 9 * 2, 3), _rand(rng, 1, 3)],
-                 lambda x, m, b: nc.conv(x, m, b, 2, 4, 3, 2, 1)),
+        "conv_stage": ([_rand(rng, 2 * 4 * 4, 2), _rand(rng, 9 * 2, 3), _rand(rng, 1, 3),
+                        _rand(rng, 1, 3) + 1.0, _rand(rng, 1, 3)],
+                       lambda x, m, b, g, s: nc.conv_stage(x, m, b, g, s, 2, 4, 3, 2, 1)),
         "conv_unfold": ([_rand(rng, 2 * 4 * 4, 2)], lambda x: nc.conv_unfold(x, 2, 4, 3, 2, 1)),
         "cross_entropy": ([_rand(rng, 1, 3)], lambda x: nc.cross_entropy(x, 1)),
         "gather_rows": ([a], lambda x: nc.gather_rows(x, [0, 2, 3, 0])),
@@ -564,31 +576,56 @@ def test_conv_unfold_gradient_matches_padded_scatter_bitwise(side, k, stride, pa
     assert np.array_equal(got, want)
 
 
-@pytest.mark.parametrize("x_grad", [True, False])
-@pytest.mark.parametrize("side,k,stride,pad", CONV_GRID)
-def test_conv_matches_unfold_then_linear_bitwise(side, k, stride, pad, x_grad):
-    """One node, the bits of the two-node chain: forward and every gradient,
-    with no map gradient when the map is a constant."""
-    rng = Rng(1414)
-    batch, ch, out_ch = 2, 3, 4
-    data = [_rand(rng, batch * side * side, ch), _rand(rng, k * k * ch, out_ch), _rand(rng, 1, out_ch)]
-    g = _rand(rng, batch * ((side + 2 * pad - k) // stride + 1) ** 2, out_ch)
+def _stage_pair(rng, side, k, stride, pad, batch, x_grad, span=None):
+    """conv_stage and the conv_unfold/linear/layer_norm/silu chain on the same
+    inputs, each under the weighted-sum loss: [(output, x, w, b, gain and bias
+    gradients)] for the stage, then for the chain. `span` overrides the
+    stage's column budget."""
+    ch, out_ch = 3, 4
+    n = (side + 2 * pad - k) // stride + 1
+    data = [_rand(rng, batch * side * side, ch), _rand(rng, k * k * ch, out_ch), _rand(rng, 1, out_ch),
+            1.0 + 0.3 * _rand(rng, 1, out_ch), _rand(rng, 1, out_ch)]
+    g = _rand(rng, batch * n * n, out_ch)
     results = []
     for fused in (True, False):
         x = Tensor(data[0], requires_grad=x_grad)
-        w, b = nc.param(data[1]), nc.param(data[2])
+        w, b, gain, bias = (nc.param(d) for d in data[1:])
         with nc.record() as graph:
             if fused:
-                out = nc.conv(x, w, b, batch, side, k, stride, pad)
+                out = nc.conv_stage(x, w, b, gain, bias, batch, side, k, stride, pad)
             else:
-                out = nc.linear(nc.conv_unfold(x, batch, side, k, stride, pad), w, b)
+                pre = nc.linear(nc.conv_unfold(x, batch, side, k, stride, pad), w, b)
+                out = nc.silu(nc.layer_norm(pre, gain, bias))
             loss = nc.sum_all(nc.mul(out, nc.tensor(g)))
         graph.backward(loss)
-        results.append((out.data, x.grad, w.grad, b.grad))
-    (y, gx, gw, gb), (y0, gx0, gw0, gb0) = results
+        results.append((out.data, x.grad, w.grad, b.grad, gain.grad, bias.grad))
+    return results
+
+
+@pytest.mark.parametrize("x_grad", [True, False])
+@pytest.mark.parametrize("side,k,stride,pad", CONV_GRID)
+def test_conv_matches_unfold_then_linear_bitwise(side, k, stride, pad, x_grad):
+    """One conv_stage node over one span, the bits of the conv_unfold, linear,
+    layer_norm, silu chain: forward and every gradient, with no map gradient
+    when the map is a constant."""
+    (y, gx, *grads), (y0, gx0, *grads0) = _stage_pair(Rng(1414), side, k, stride, pad, 2, x_grad)
     assert y.tobytes() == y0.tobytes()
-    assert gw.tobytes() == gw0.tobytes() and gb.tobytes() == gb0.tobytes()
+    for got, want in zip(grads, grads0):
+        assert got.tobytes() == want.tobytes()
     if x_grad:
         assert gx.tobytes() == gx0.tobytes()
     else:
         assert gx is None and gx0 is None
+
+
+@pytest.mark.parametrize("side,k,stride,pad", CONV_GRID)
+def test_conv_stage_over_several_spans_matches_the_chain(side, k, stride, pad, monkeypatch):
+    """A column budget of two patches splits a batch of six into three spans:
+    the output keeps the chain's bits, and every gradient is within 1e-12 of
+    it. (A one-row span would not: BLAS gives a single row other bits.)"""
+    n = (side + 2 * pad - k) // stride + 1
+    monkeypatch.setattr(engine, "_CONV_SPAN", 2 * n * n * k * k * 3)
+    (y, *grads), (y0, *grads0) = _stage_pair(Rng(1515), side, k, stride, pad, 6, True)
+    assert y.tobytes() == y0.tobytes()
+    for got, want in zip(grads, grads0):
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
