@@ -173,7 +173,10 @@ def _load_dataset(path: str):
     root = Path(path)
     if not (root / "manifest.txt").exists():
         raise FileNotFoundError(f"no dataset manifest under {root}")
-    return load_dataset(root)
+    dataset = load_dataset(root)
+    if not dataset.slides:
+        raise FileNotFoundError(f"dataset {root} has no slides")
+    return dataset
 
 
 def _find_slide(dataset, ident: str):
@@ -184,6 +187,8 @@ def _find_slide(dataset, ident: str):
 
 
 def cmd_generate(args) -> int:
+    if args.slides < 1:
+        raise CliConfigError(f"--slides must be >= 1, got {args.slides}")
     spec = SynthSpec(
         classes=args.classes, width=args.width, height=args.height,
         lesion_fraction=args.lesion_frac,

@@ -39,10 +39,12 @@ from .sffm import (
     PatchSet,
     full_grid,
     run_sffm,
+    tiling,
 )
 from .synthwsi import Dataset, SlideRecord, generate_mask
 
 BACKGROUND_MEAN = 240.0  # patches brighter than this on every channel are skipped
+RANDOM_QUOTAS = (46, 11, 3)  # random_k picks at 20x/10x/5x, desk scale
 
 
 class EmptySlideError(Exception):
@@ -76,7 +78,7 @@ class TrainConfig:
     stage: str = "e2e"                      # e2e | mil_only
     patch_source: str = "all_nonbackground"
     scales: tuple[int, ...] = SCALE_SIDES
-    random_quotas: tuple[int, int, int] = (46, 11, 3)  # 20x/10x/5x, desk scale
+    random_quotas: tuple[int, int, int] = RANDOM_QUOTAS
     stage2_epochs: int = 0                  # cached-feature refinement after e2e
     stage2_lr: float = 0.05
 
@@ -178,13 +180,15 @@ def build_bank(record: SlideRecord, provider: MaskProvider, resize_side: int) ->
             levels[factor] = box_downscale(src, factor // prev, factor // prev)
         return levels[factor]
 
-    for i, ref in enumerate(grid):
-        y0, _, x0, _ = ref.bounds()
-        factor = ref.d_k // resize_side
-        patch = level_of(factor)[y0 // factor:y0 // factor + resize_side,
-                                 x0 // factor:x0 // factor + resize_side]
-        patches[i] = patch
-        background[i] = bool((level_of(ref.d_k)[y0 // ref.d_k, x0 // ref.d_k] > BACKGROUND_MEAN).all())
+    # tile (i, j) of scale d_k is block (i, j) of the factor d_k // S level,
+    # moved into the float32 bank without a float64 copy
+    start = 0
+    for d_k, rows, cols in tiling(image.width, image.height):
+        end = start + rows * cols
+        tiles = level_of(d_k // resize_side).reshape(rows, resize_side, cols, resize_side, 3)
+        patches[start:end].reshape(rows, cols, resize_side, resize_side, 3)[...] = tiles.swapaxes(1, 2)
+        background[start:end] = (level_of(d_k) > BACKGROUND_MEAN).all(-1).ravel()
+        start = end
     lesion_idx = np.asarray([pos[r] for r in lesion.refs], dtype=np.int64)
     record.drop_cache()
     return SlideBank(record.ident, record.label, image.width, image.height,
@@ -200,7 +204,7 @@ def build_banks(dataset: Dataset, provider: MaskProvider, resize_side: int) -> l
 
 def select_batch(bank: SlideBank, source: str, batch: int, rng: nc.Rng,
                  scales: tuple[int, ...] = SCALE_SIDES,
-                 quotas: tuple[int, int, int] = (46, 11, 3)) -> np.ndarray:
+                 quotas: tuple[int, int, int] = RANDOM_QUOTAS) -> np.ndarray:
     """Uniform sample without replacement of min(batch, available) grid indices."""
     if source == "random_k":
         pool = []

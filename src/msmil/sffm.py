@@ -1,25 +1,19 @@
-"""Semantic feature filtering: one walk over the scan grid of the 1024 mask
-and a red-fraction predicate on its windows, giving multi-scale patch refs.
+"""Semantic feature filtering: each scale's tiling of the slide is its scan
+grid, and a tile is kept when its block of the 1024 mask is mostly lesion.
 
-`_walk` is the only tiling. It yields each scan window with the base-pixel
-ref its center maps to; `full_grid(width, height)` is the refs of every
-window and `run_sffm(width, height, mask)` the refs of the windows whose
-lesion share in the `LesionMask` plane is above the red threshold, so the
-filtered refs are always an ordered subsequence of the grid.
-
-Geometry conventions (all tested against a brute-force re-scan):
-* windows tile the 1024 mask non-overlapping, stride == window size d_k/s;
-  positions accumulate in float, each window floors both bounds, and any
-  window overflowing the mask is discarded (no padding);
-* a window's float center (u, v) maps to base pixels via
-  x = floor(u*s1 + 0.5), y = floor(v*s2 + 0.5), and windows whose crop would
-  leave the base image are dropped;
-* retention is strictly greater than the threshold (exactly 0.7 rejects).
+Geometry (tested against a brute-force re-scan): slide sides are
+1024 * 2**k px (`is_slide_side`), so for each d_k in `SCALE_SIDES` the grid
+is the row-major (height / d_k) x (width / d_k) tiling of the slide, and
+ref (i, j) is centred at (j * d_k + d_k / 2, i * d_k + d_k / 2). Tile (i, j)
+maps to block (i, j) of the same tiling of the 1024 x 1024 `LesionMask`,
+(1024 * d_k / height) x (1024 * d_k / width) mask px. `full_grid` is every
+ref, in (d_k ascending, y, x) order; `run_sffm` keeps the refs whose block's
+lesion share is strictly above `RED_THRESHOLD` (exactly 0.7 rejects), so
+the filtered refs are always an ordered subsequence of the grid.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Protocol
@@ -27,14 +21,10 @@ from typing import Iterable, Protocol
 import numpy as np
 
 from .synthwsi.ppm import read_ppm
-from .synthwsi.pyramid import THUMB_SIDE, LesionMask, RasterFileError, mask_from_ppm
+from .synthwsi.pyramid import THUMB_SIDE, LesionMask, RasterFileError, is_slide_side, mask_from_ppm
 
 SCALE_SIDES = (512, 1024, 2048)
 RED_THRESHOLD = 0.7
-
-
-class ResolutionError(Exception):
-    pass
 
 
 class CoverageError(Exception):
@@ -57,15 +47,6 @@ class PatchRef:
     y: int
     d_k: int
     scale_code: int
-
-    def bounds(self) -> tuple[int, int, int, int]:
-        """(y0, y1, x0, x1) of the half-open crop window."""
-        half = self.d_k // 2
-        return self.y - half, self.y + half, self.x - half, self.x + half
-
-    def in_bounds(self, width: int, height: int) -> bool:
-        y0, y1, x0, x1 = self.bounds()
-        return 0 <= x0 and x1 <= width and 0 <= y0 and y1 <= height
 
 
 @dataclass
@@ -116,62 +97,33 @@ class FileMaskProvider:
             raise RasterFileError(f"{path}: {e}") from None
 
 
-def _spans(step: float) -> list[tuple[int, int]]:
-    """(lo, hi) of each whole window along one 1024 px mask axis."""
-    out = []
-    i = 0
-    while math.floor(i * step + step) <= THUMB_SIDE:
-        out.append((math.floor(i * step), math.floor(i * step + step)))
-        i += 1
-    return out
+def tiling(width: int, height: int) -> list[tuple[int, int, int]]:
+    """(d_k, rows, cols) of each scale that tiles a width x height slide at
+    least once, d_k ascending. A side that is not 1024 * 2**k px, or so large
+    that a 512 px tile covers less than one mask pixel, is a ValueError."""
+    for side in (width, height):
+        if not (is_slide_side(side) and side <= SCALE_SIDES[0] * THUMB_SIDE):
+            raise ValueError(f"slide side {side} px is not 1024 * 2**k for 0 <= k <= 9")
+    return [(d_k, height // d_k, width // d_k) for d_k in SCALE_SIDES if d_k <= min(width, height)]
 
 
-def _walk(width: int, height: int, scales: Iterable[int]):
-    """Yield (window, ref) for every scan window of the 1024 mask, in
-    (d_k ascending, y, x) order: the window (x_lo, y_lo, x_hi, y_hi) in mask
-    pixels and the ref its float center maps to. Windows whose crop would
-    leave the width x height image are skipped."""
-    s1 = width / THUMB_SIDE
-    s2 = height / THUMB_SIDE
-    for d_k in sorted(scales):
-        w = d_k / s1
-        h = d_k / s2
-        if w < 1.0 or h < 1.0:
-            raise ResolutionError(
-                f"patch side {d_k} maps below one mask pixel (window {w:.3f}x{h:.3f})"
-            )
-        code = scale_code_for(d_k)
-        cols = _spans(w)
-        for y_lo, y_hi in _spans(h):
-            y = math.floor((y_lo + y_hi) / 2.0 * s2 + 0.5)
-            for x_lo, x_hi in cols:
-                ref = PatchRef(math.floor((x_lo + x_hi) / 2.0 * s1 + 0.5), y, d_k, code)
-                if ref.in_bounds(width, height):
-                    yield (x_lo, y_lo, x_hi, y_hi), ref
+def full_grid(width: int, height: int) -> list[PatchRef]:
+    """Every tile's ref, in (d_k ascending, y, x) order."""
+    return [PatchRef(j * d_k + d_k // 2, i * d_k + d_k // 2, d_k, scale_code_for(d_k))
+            for d_k, rows, cols in tiling(width, height)
+            for i in range(rows) for j in range(cols)]
 
 
-def red_fraction(mask: LesionMask, window: tuple[int, int, int, int]) -> float:
-    x_lo, y_lo, x_hi, y_hi = window
-    region = mask.red[y_lo:y_hi, x_lo:x_hi]
-    return float(np.count_nonzero(region)) / region.size
-
-
-def run_sffm(width: int, height: int, mask: LesionMask,
-             scales: tuple[int, ...] = SCALE_SIDES,
-             threshold: float = RED_THRESHOLD) -> PatchSet:
-    """The grid refs of a width x height slide whose mask window is strictly
+def run_sffm(width: int, height: int, mask: LesionMask) -> PatchSet:
+    """The grid refs of a width x height slide whose mask block is strictly
     above the red threshold, in `full_grid` order."""
-    if not 0.0 < threshold < 1.0:
-        raise ValueError(f"threshold {threshold} outside (0, 1)")
-    refs = [ref for window, ref in _walk(width, height, scales)
-            if red_fraction(mask, window) > threshold]
-    return PatchSet(refs)
-
-
-def full_grid(width: int, height: int, scales: tuple[int, ...] = SCALE_SIDES) -> list[PatchRef]:
-    """Every ref of the scan grid regardless of the mask, in (d_k ascending,
-    y, x) order."""
-    return [ref for _, ref in _walk(width, height, scales)]
+    keep = []
+    for _, rows, cols in tiling(width, height):
+        h, w = THUMB_SIDE // rows, THUMB_SIDE // cols
+        count = np.count_nonzero(mask.red.reshape(rows, h, cols, w), axis=(1, 3))
+        keep.append((count / (h * w) > RED_THRESHOLD).ravel())
+    grid = full_grid(width, height)
+    return PatchSet([ref for ref, kept in zip(grid, np.concatenate(keep)) if kept])
 
 
 # ---------------------------------------------------------------- ref dumps

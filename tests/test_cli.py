@@ -18,7 +18,7 @@ from msmil.pipeline import (
     train_full,
     write_cache,
 )
-from msmil.synthwsi import load_dataset, read_manifest, read_ppm, write_ppm
+from msmil.synthwsi import SynthSpec, load_dataset, read_manifest, read_ppm, write_dataset, write_ppm
 from tests.conftest import tiny_model_config
 
 TINY_SETS = [
@@ -388,6 +388,29 @@ def test_generate_width_breaking_the_side_rule_exit_5(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("config error: slide sides must be 1024 * 2**k px") and _one_line(err)
     assert not out.exists()
+
+
+@pytest.mark.parametrize("slides", ["0", "-3"])
+def test_generate_fewer_than_one_slide_exit_5(tmp_path, capsys, slides):
+    out = tmp_path / "empty"
+    rc = main(["generate", "--out", str(out), "--slides", slides])
+    assert rc == 5
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: --slides must be >= 1, got {slides}") and _one_line(err)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [["train", "--out", "run"], ["eval", "--kfold", "2"],
+                                     ["sweep", "--sizes", "2"]])
+def test_dataset_without_slides_exit_3(tmp_path, capsys, monkeypatch, command):
+    monkeypatch.chdir(tmp_path)
+    root = tmp_path / "empty"
+    write_dataset(root, SynthSpec(), 0, 1)
+    rc = main([command[0], "--dataset", str(root), *command[1:], *TINY_SETS])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"missing input: dataset {root} has no slides") and _one_line(err)
+    assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize("side", ["48", "1024"])

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -10,12 +11,8 @@ from msmil.sffm import (
     OracleMaskProvider,
     PatchRef,
     PatchSet,
-    ResolutionError,
-    _spans,
-    _walk,
     full_grid,
     read_refs,
-    red_fraction,
     run_sffm,
     write_refs,
 )
@@ -30,7 +27,10 @@ from msmil.synthwsi import (
     mask_to_ppm,
     write_ppm,
 )
-from msmil.synthwsi.pyramid import is_slide_side
+
+# slide sizes the oracle checks run at: square, both non-square ways, and the
+# smallest slide, where no 2048 px tile fits
+ORACLE_SIDES = [(4096, 4096), (2048, 8192), (8192, 4096), (1024, 1024)]
 
 
 def make_mask(red: np.ndarray) -> LesionMask:
@@ -70,62 +70,71 @@ def blank_image(width: int, height: int) -> PyramidImage:
 
 
 def test_scan_grid_counts_at_s4():
-    assert PatchSet(full_grid(4096, 4096)).per_scale == (64, 16, 4)
-    window, ref = next(_walk(4096, 4096, (512,)))
-    assert window == (0, 0, 128, 128)
-    assert ref == PatchRef(256, 256, 512, 0)
-
-
-def test_scan_grid_discards_trailing_partial_window():
-    # 512 px at s = 3: stride 170.67, so a 7th window would end at 1194
-    step = 512 / 3
-    spans = _spans(step)
-    assert len(spans) == 6 and spans[-1][1] <= 1024 < math.floor(6 * step + step)
-    # the first 512 px column and row map to crops starting at -1 and are dropped too
-    assert PatchSet(full_grid(3072, 3072)).per_scale == (25, 9, 0)
-    assert all(w[2] <= 1024 and w[3] <= 1024 for w, _ in _walk(3072, 3072, (512, 1024, 2048)))
+    grid = full_grid(4096, 4096)
+    assert PatchSet(grid).per_scale == (64, 16, 4)
+    assert grid[0] == PatchRef(256, 256, 512, 0)
 
 
 def test_scan_grid_resolution_error():
-    with pytest.raises(ResolutionError):
-        full_grid(600 * 1024, 4096)
+    """A side off 1024 * 2**k, or one whose 512 px tile covers less than one
+    mask pixel, is named in a ValueError; the largest side still tiles."""
+    ones = make_mask(np.ones((1024, 1024)))
+    for bad in (3072, 614400, 1024 << 10):
+        with pytest.raises(ValueError, match=f"slide side {bad} px"):
+            full_grid(bad, 4096)
+        with pytest.raises(ValueError, match=f"slide side {bad} px"):
+            run_sffm(4096, bad, ones)
+    assert run_sffm(1024 << 9, 1024, ones).per_scale == (2048, 512, 0)
 
 
-# ------------------------------------------------------------- red_fraction
+def test_mil_bag_grid_is_pinned():
+    """The benchmark's mil_bag cache lays out its 1,344-instance bags and
+    their sidecar in this grid's order."""
+    grid = full_grid(16384, 16384)
+    assert len(grid) == 1344
+    assert grid == sorted(grid, key=lambda r: (r.d_k, r.y, r.x))
+    text = "".join(f"{r.x} {r.y} {r.d_k} {r.scale_code}\n" for r in grid)
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "62248a48ec73c2e756506f7a7ce50b58e8bb873b295d39ca1600fdbac0040bb7"
+
+
+# ------------------------------------------------------- a block's red share
 
 
 def test_red_fraction_extremes():
     red = np.zeros((1024, 1024))
     red[:128, :128] = 1
-    mask = make_mask(red)
-    assert red_fraction(mask, (0, 0, 128, 128)) == 1.0
-    assert red_fraction(mask, (128, 128, 256, 256)) == 0.0
+    # at 4096 px the first 512 px tile is that whole block, and its 1024 px
+    # tile a quarter lesion; every other block has none
+    assert run_sffm(4096, 4096, make_mask(red)).refs == [PatchRef(256, 256, 512, 0)]
 
 
 def test_red_fraction_checkerboard_is_half():
+    """A checkerboard counts half its pixels: under 51 lesion rows a 128 x 128
+    block holds 0.6992 lesion, under 52 it holds 0.7031."""
     red = np.indices((1024, 1024)).sum(axis=0) % 2
-    mask = make_mask(red)
-    assert red_fraction(mask, (0, 0, 128, 128)) == 0.5
+    red[:51] = 1
+    assert run_sffm(4096, 4096, make_mask(red)).per_scale == (0, 0, 0)
+    red[51] = 1
+    assert run_sffm(4096, 4096, make_mask(red)).per_scale == (8, 0, 0)
 
 
 # -------------------------------------------------------- the red predicate
 
 
 def test_exact_threshold_is_rejected():
-    window = (512, 512, 682, 682)  # a 512 px scan window at s = 3: 170 x 170 = 28,900 px
-    assert window in [w for w, _ in _walk(3072, 3072, (512,))]
+    # a 512 px tile at 4096 px is a 128 x 128 = 16,384 px mask block; no count
+    # of it is exactly 0.7, and 11,468 px (0.69995) is the largest below
     red = np.zeros((1024, 1024))
-    red[512:682, 512:682].flat[:20230] = 1  # exactly 0.7
-    mask = make_mask(red)
-    assert red_fraction(mask, window) == 0.7
-    assert run_sffm(3072, 3072, mask).refs == []
-    red[512:682, 512:682].flat[20230] = 1  # 20,231 px: strictly above
-    kept = run_sffm(3072, 3072, make_mask(red)).refs
-    assert kept == [PatchRef(1791, 1791, 512, 0)]
+    red[512:640, 512:640].flat[:11468] = 1
+    assert run_sffm(4096, 4096, make_mask(red)).refs == []
+    red[512:640, 512:640].flat[11468] = 1  # 11,469 px: 0.70001
+    kept = run_sffm(4096, 4096, make_mask(red)).refs
+    assert kept == [PatchRef(2304, 2304, 512, 0)]
 
 
 def test_fully_red_mask_maps_to_expected_centers():
-    refs = run_sffm(4096, 4096, make_mask(np.ones((1024, 1024))), scales=(512,)).refs
+    refs = [r for r in run_sffm(4096, 4096, make_mask(np.ones((1024, 1024)))).refs if r.d_k == 512]
     assert len(refs) == 64
     centers = {(r.x, r.y) for r in refs}
     assert centers == {(256 + 512 * i, 256 + 512 * j) for i in range(8) for j in range(8)}
@@ -133,13 +142,7 @@ def test_fully_red_mask_maps_to_expected_centers():
 
 
 def test_empty_mask_keeps_nothing():
-    assert run_sffm(4096, 4096, make_mask(np.zeros((1024, 1024))), scales=(1024,)).refs == []
-
-
-def test_border_overflow_refs_are_discarded():
-    # fully red mask, but at s = 3 the one 2048 px window's crop starts at -1
-    assert _spans(2048 / 3) == [(0, 682)]
-    assert run_sffm(3072, 3072, make_mask(np.ones((1024, 1024))), scales=(2048,)).refs == []
+    assert run_sffm(2048, 8192, make_mask(np.zeros((1024, 1024)))).refs == []
 
 
 # ----------------------------------------------------------------- run_sffm
@@ -164,11 +167,12 @@ def test_run_sffm_empty_mask():
 def test_run_sffm_half_plane_matches_brute_force():
     red = np.zeros((1024, 1024))
     red[:, :512] = 1  # left half
-    ps = run_sffm(4096, 4096, make_mask(red))
-    for d_k in (512, 1024, 2048):
-        got = [(r.x, r.y, r.d_k) for r in ps.refs if r.d_k == d_k]
-        want = brute_force_refs(red, 4.0, 4.0, d_k, 4096, 4096)
-        assert sorted(got) == sorted(want)
+    for width, height in ORACLE_SIDES:
+        ps = run_sffm(width, height, make_mask(red))
+        for d_k in (512, 1024, 2048):
+            got = [(r.x, r.y, r.d_k) for r in ps.refs if r.d_k == d_k]
+            want = brute_force_refs(red, width / 1024, height / 1024, d_k, width, height)
+            assert sorted(got) == sorted(want), (width, height, d_k)
 
 
 def test_run_sffm_missing_slide():
@@ -187,17 +191,12 @@ def test_file_provider_matches_oracle(tmp_path, c4_slides):
     assert run_sffm(4096, 4096, mask).refs == run_sffm(4096, 4096, filed).refs
 
 
-@pytest.mark.parametrize("width,height", [(3072, 3072), (4096, 4096), (2048, 6144), (2048, 8192)])
+@pytest.mark.parametrize("width,height", [(4096, 4096), (2048, 8192)])
 def test_lesion_refs_are_an_ordered_subsequence_of_the_grid(width, height):
     mask = make_mask(random_blobby_mask(Rng(width + height)))
     lesion = run_sffm(width, height, mask).refs
     grid = iter(full_grid(width, height))
     assert lesion and all(ref in grid for ref in lesion)
-    if not is_slide_side(width) or not is_slide_side(height):
-        # the grid is defined at any side; slides only at 1024 * 2**k
-        with pytest.raises(ValueError, match="1024"):
-            blank_image(width, height)
-        return
     record = SlideRecord("blank", 0, width, height, 0, _image=blank_image(width, height))
     bank = build_bank(record, OracleMaskProvider({"blank": mask}), 8)
     assert len(bank.lesion_idx) == len(lesion)
@@ -221,7 +220,7 @@ def test_slide_size_rule_makes_every_grid_crop_a_box_slice():
             assert refs
             for side in (8, 16, 32, 64, 128, 256, 512):
                 for ref in refs:
-                    y0, _, x0, _ = ref.bounds()
+                    x0, y0 = ref.x - ref.d_k // 2, ref.y - ref.d_k // 2
                     factor = ref.d_k // side
                     assert ref.d_k % side == 0 and x0 % factor == 0 and y0 % factor == 0, \
                         (width, height, side, ref)
@@ -244,21 +243,24 @@ def random_blobby_mask(rng: Rng) -> np.ndarray:
 
 
 def test_retained_set_equals_brute_force_50_random_masks():
-    rng = Rng(1234)
-    for trial in range(50):
-        red = random_blobby_mask(rng)
-        ps = run_sffm(4096, 4096, make_mask(red))
-        for d_k in (512, 1024, 2048):
-            got = [(r.x, r.y, r.d_k) for r in ps.refs if r.d_k == d_k]
-            want = brute_force_refs(red, 4.0, 4.0, d_k, 4096, 4096)
-            assert sorted(got) == sorted(want), f"trial {trial}, d_k {d_k}"
+    for width, height in ORACLE_SIDES:
+        rng = Rng(1234)
+        for trial in range(50):
+            red = random_blobby_mask(rng)
+            ps = run_sffm(width, height, make_mask(red))
+            for d_k in (512, 1024, 2048):
+                got = [(r.x, r.y, r.d_k) for r in ps.refs if r.d_k == d_k]
+                want = brute_force_refs(red, width / 1024, height / 1024, d_k, width, height)
+                assert sorted(got) == sorted(want), f"{width}x{height}, trial {trial}, d_k {d_k}"
 
 
 def test_all_emitted_refs_are_croppable():
     rng = Rng(777)
-    for _ in range(20):
-        ps = run_sffm(4096, 4096, make_mask(random_blobby_mask(rng)))
-        assert all(ref.in_bounds(4096, 4096) for ref in ps.refs)
+    for width, height in ORACLE_SIDES:
+        for _ in range(20):
+            for ref in run_sffm(width, height, make_mask(random_blobby_mask(rng))).refs:
+                half = ref.d_k // 2
+                assert half <= ref.x <= width - half and half <= ref.y <= height - half, ref
 
 
 def test_growing_red_region_never_removes_refs():
