@@ -218,14 +218,14 @@ def cmd_train(args) -> int:
         conf["train.seed"] = args.seed
     dataset = _load_dataset(args.dataset)
     classes = dataset.spec.classes
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     if args.stage == "mil_only" and not args.cache:
         raise CliConfigError("--stage mil_only requires --cache")
     if args.stage == "mil_only" and conf["train.stage2_epochs"] < 1:
         raise CliConfigError("--stage mil_only needs train.stage2_epochs >= 1, "
                              f"got {conf['train.stage2_epochs']}")
     model, enc_cfg, _, train_cfg = _load_model_for(dataset, conf, args.init_params)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
 
     if args.stage == "mil_only":
         cache = read_cache(Path(args.cache))
@@ -290,7 +290,7 @@ def cmd_eval(args) -> int:
     dataset = _load_dataset(args.dataset)
     provider = _provider(dataset, args.mask)
     out = Path(args.out) if args.out else None
-    if args.kfold:
+    if args.kfold is not None:
         if args.params is not None:
             raise CliConfigError("--kfold trains a fresh model per fold and takes no --params")
         enc_cfg, mil_cfg, train_cfg = configs_from(conf, dataset.spec.classes)

@@ -143,6 +143,8 @@ def stratified_folds(labels, k: int, seed: int) -> list[list[int]]:
     balanced even when class counts are not multiples of k.
     """
     labels = list(labels)
+    if k < 2:
+        raise InputError(f"k-fold needs k >= 2 folds, got k={k}")
     if k > len(labels):
         raise InputError(f"k={k} exceeds {len(labels)} slides")
     folds: list[list[int]] = [[] for _ in range(k)]
@@ -235,8 +237,8 @@ def graph_size_sweep(train_banks: list[SlideBank], test_banks: list[SlideBank],
     -> Model`, the interface `kfold_run` uses; accuracy measured on the
     held-out banks."""
     sizes = list(sizes)
-    if sizes != sorted(sizes) or (sizes and sizes[0] < 1):
-        raise InputError("sizes must be ascending and >= 1")
+    if not sizes or sizes != sorted(sizes) or sizes[0] < 1:
+        raise InputError(f"sizes must be non-empty, ascending and >= 1, got {sizes}")
     curve = []
     for size in sizes:
         cfg = replace(base_cfg, instances_per_graph=size)

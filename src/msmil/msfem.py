@@ -8,11 +8,12 @@ a learnable classification token through pre-norm transformer blocks. The
 final token is projected to the instance feature dimension.
 
 Patches are encoded in batches: the conv trunk and the row-wise transformer
-pieces stack all patches into one set of matrices, and attention runs
-block-wise per patch inside a single fused op. Each conv stage (conv, per-
-position channel norm, SiLU) is one `nc.conv_stage` node, computed over
-spans of whole patches: the tape holds the stage's input map, its
-standardized map and each position's 1/std, not the unfolded k*k*c_in
+pieces stack all patches into one set of matrices, and self-attention runs
+per patch and head in `nc.block_self_attention`, on the engine's one
+softmax-attention kernel (IAAM's `nc.attention` runs it too). Each conv
+stage (conv, per-position channel norm, SiLU) is one `nc.conv_stage` node,
+computed over spans of whole patches: the tape holds the stage's input map,
+its standardized map and each position's 1/std, not the unfolded k*k*c_in
 columns, the conv output or the norm output. The backward unfolds the
 columns again span by span, so its temporaries do not grow with the batch.
 """

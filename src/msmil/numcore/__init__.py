@@ -28,7 +28,7 @@ from .engine import (
     transpose,
 )
 from .gradcheck import DeterminismError, finite_diff_check
-from .optim import GradAccumSgd, ProtocolError
+from .optim import GradAccumSgd
 from .rng import Rng
 
 __all__ = [
@@ -38,5 +38,5 @@ __all__ = [
     "record", "scale", "sigmoid", "silu",
     "slice_cols", "softmax_rows", "sum_all", "tensor",
     "transpose", "DeterminismError", "finite_diff_check",
-    "GradAccumSgd", "ProtocolError", "Rng",
+    "GradAccumSgd", "Rng",
 ]

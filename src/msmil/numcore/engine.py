@@ -16,23 +16,32 @@ never writes into its upstream gradient `g`, and may return `g` itself or a
 view of it; a leaf's `.grad` may share memory with another gradient and is
 read-only by the same rule.
 
-`attention` computes softmax_rows(c * q @ k.T) @ v over blocks of query
-rows and keeps no (rows, keys) array: the tape holds q, k, v, each row's max
-and sum, and the output, and the vjp recomputes each block's probabilities
-from them. Its memory grows with rows plus keys, not with their product.
+Softmax attention has one kernel, `_attend` with its vjp `_attend_vjp`,
+blocked with recompute (Rabe & Staats 2021, arXiv:2112.05682). It computes
+softmax_rows(c * q @ k.T) @ v over (..., rows, d) stacks in blocks of query
+rows and keeps each query row's max and sum, from which the vjp recomputes
+each block's probabilities. So no (rows, keys) array outlives a block.
+`attention` (IAAM's latent attention) runs it on 2-D q, k and v, and
+`block_self_attention` (the encoder's) on per-head views of one qkv array.
+
+A node's vjp keeps its inputs and its output, and beyond them only: each
+row's mean and 1/std for `layer_norm` (the standardized rows are recomputed),
+the (1, C) probabilities for `cross_entropy`, each query row's (max, sum)
+for the two attention ops, and the standardized map and each row's 1/std
+for `conv_stage`. `silu` recomputes its sigmoid from the input; the shape
+ops keep at most their index arrays.
 
 `conv_stage` is one encoder conv stage, silu(layer_norm(conv(x))), as one
 node computed over spans of whole patches whose unfolded columns stay under
-`_CONV_SPAN` elements. Its tape keeps the input map, the standardized map
-and each row's 1/std: not the (rows, k*k*c_in) columns, the conv output or
-the norm output. The vjp runs the whole chain per span. It recomputes the
-SiLU input from the standardized map, folds the pre-norm gradient @ w.T back
-onto the input map (skipped when the map needs no gradient, as for pixels),
-and only then unfolds that span's columns again for the weight gradient. So
-no backward temporary grows with the batch, at the cost of one extra unfold
-per stage. With one span, the forward and every gradient have the bits of
-the conv_unfold/linear/layer_norm/silu chain. Over several spans the
-parameter gradients are sums of per-span sums, and the forward keeps the
+`_CONV_SPAN` elements; its tape keeps no (rows, k*k*c_in) columns, conv
+output or norm output. The vjp runs the whole chain per span. It recomputes
+the SiLU input from the standardized map, folds the pre-norm gradient @ w.T
+back onto the input map (skipped when the map needs no gradient, as for
+pixels), and only then unfolds that span's columns again for the weight
+gradient. So no backward temporary grows with the batch, at the cost of one
+extra unfold per stage. With one span, the forward and every gradient have
+the bits of the conv_unfold/linear/layer_norm/silu chain. Over several spans
+the parameter gradients are sums of per-span sums, and the forward keeps the
 chain's bits as long as BLAS gives a span's rows the bits it gives them in
 the whole batch: it does at the encoder's shapes, but not for a one-row
 span. `layer_norm` and `silu` share their row-norm and SiLU math with it.
@@ -43,6 +52,7 @@ Gradient rules are verified against central finite differences by
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 from typing import Callable, Sequence
 
@@ -578,66 +588,73 @@ def conv_stage(x: Tensor, w: Tensor, b: Tensor, gain: Tensor, bias: Tensor, batc
     return out
 
 
-# scores per block of query rows in `attention`: 1 MiB of float64
+# scores per block of query rows in `_attend`, counted across the whole
+# stack: 1 MiB of float64
 _ATTENTION_BLOCK = 2 ** 17
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, c: float) -> Tensor:
-    """softmax_rows(c * q @ k.T) @ v as one node, computed over blocks of query rows.
-
-    Each block spans every key, so its row max and row sum are exact and the
-    values are the ones the matmul/scale/softmax_rows/matmul chain gives. The
-    tape keeps q, k, v, the (rows, 2) max and sum per query row, and the output;
-    the vjp recomputes each block's probabilities from them, so every
-    temporary is one block of scores or the size of q, k or v.
-    """
-    qd, kd, vd = q.data, k.data, v.data
-    if (qd.ndim != 2 or kd.ndim != 2 or vd.ndim != 2
-            or qd.shape[1] != kd.shape[1] or kd.shape[0] != vd.shape[0]):
-        raise ShapeError(f"attention shape mismatch: q {qd.shape}, k {kd.shape}, v {vd.shape}")
-    c = float(c)
-    rows = max(1, _ATTENTION_BLOCK // kd.shape[0])
-    blocks = [slice(r0, r0 + rows) for r0 in range(0, qd.shape[0], rows)]
-    stats = np.empty((qd.shape[0], 2))
-
-    def scores(b):
-        p = qd[b] @ kd.T
-        p *= c
-        return p
-
-    y = np.empty((qd.shape[0], vd.shape[1]))
+def _attend(qd: np.ndarray, kd: np.ndarray, vd: np.ndarray, c: float, y: np.ndarray):
+    """y <- softmax_rows(c * q @ k.T) @ v over (..., rows, d) stacks, in blocks
+    of query rows; `y` may be a view. Each block spans every key, so the values
+    are the matmul/scale/softmax_rows/matmul chain's. Returns the blocks and
+    each query row's (max, sum), the (..., rows, 2) stats `_attend_vjp` reads."""
+    per = max(1, _ATTENTION_BLOCK // (math.prod(qd.shape[:-2]) * kd.shape[-2]))
+    blocks = [slice(r0, r0 + per) for r0 in range(0, qd.shape[-2], per)]
+    stats = np.empty(qd.shape[:-1] + (2,))
+    kt = np.swapaxes(kd, -1, -2)
     for b in blocks:
-        p = scores(b)
+        p = qd[..., b, :] @ kt
+        p *= c
         m = p.max(axis=-1, keepdims=True)
         p -= m
         np.exp(p, out=p)
         l = p.sum(axis=-1, keepdims=True)
         p /= l
-        y[b] = p @ vd
-        stats[b, :1], stats[b, 1:] = m, l
+        y[..., b, :] = p @ vd
+        stats[..., b, :1], stats[..., b, 1:] = m, l
+    return blocks, stats
+
+
+def _attend_vjp(g, qd, kd, vd, c, y, blocks, stats, gq, gk, gv) -> None:
+    """Gradients of `_attend` into gq (rows written) and gk, gv (added into, so
+    zeroed by the caller); each may be None or a view."""
+    kt, vt = np.swapaxes(kd, -1, -2), np.swapaxes(vd, -1, -2)
+    for b in blocks:
+        p = qd[..., b, :] @ kt
+        p *= c
+        p -= stats[..., b, :1]
+        np.exp(p, out=p)
+        p /= stats[..., b, 1:]
+        gb = g[..., b, :]
+        if gv is not None:
+            gv += np.swapaxes(p, -1, -2) @ gb
+        # rowsum(dp * p) == rowsum(g * out)
+        dp = gb @ vt
+        dp -= (gb * y[..., b, :]).sum(axis=-1, keepdims=True)
+        dp *= p
+        dp *= c
+        if gq is not None:
+            gq[..., b, :] = dp @ kd
+        if gk is not None:
+            gk += np.swapaxes(dp, -1, -2) @ qd[..., b, :]
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, c: float) -> Tensor:
+    """softmax_rows(c * q @ k.T) @ v as one node, on 2-D q, k and v."""
+    qd, kd, vd = q.data, k.data, v.data
+    if (qd.ndim != 2 or kd.ndim != 2 or vd.ndim != 2
+            or qd.shape[1] != kd.shape[1] or kd.shape[0] != vd.shape[0]):
+        raise ShapeError(f"attention shape mismatch: q {qd.shape}, k {kd.shape}, v {vd.shape}")
+    c = float(c)
+    y = np.empty((qd.shape[0], vd.shape[1]))
+    blocks, stats = _attend(qd, kd, vd, c, y)
     out = Tensor(y)
 
     def vjp(g):
         gq = np.empty_like(qd) if q.requires_grad else None
         gk = np.zeros_like(kd) if k.requires_grad else None
         gv = np.zeros_like(vd) if v.requires_grad else None
-        for b in blocks:
-            p = scores(b)
-            p -= stats[b, :1]
-            np.exp(p, out=p)
-            p /= stats[b, 1:]
-            gb = g[b]
-            if gv is not None:
-                gv += p.T @ gb
-            # rowsum(dp * p) == rowsum(g * out)
-            dp = gb @ vd.T
-            dp -= (gb * y[b]).sum(axis=-1, keepdims=True)
-            dp *= p
-            dp *= c
-            if gq is not None:
-                gq[b] = dp @ kd
-            if gk is not None:
-                gk += dp.T @ qd[b]
+        _attend_vjp(g, qd, kd, vd, c, y, blocks, stats, gq, gk, gv)
         return (gq, gk, gv)
 
     _emit(out, (q, k, v), vjp)
@@ -651,6 +668,8 @@ def block_self_attention(qkv: Tensor, seq_len: int, n_heads: int) -> Tensor:
     with dim divisible by n_heads. Attention is computed independently per
     sequence and per head, scaled by 1/sqrt(head_dim); the output is
     (batch*seq_len, dim) and the gradient one (batch*seq_len, 3*dim) array.
+    `_attend` runs on (batch, heads, seq, head_dim) views of qkv, the output
+    and the gradient.
     """
     rows, width = qkv.data.shape
     if width % 3:
@@ -662,32 +681,22 @@ def block_self_attention(qkv: Tensor, seq_len: int, n_heads: int) -> Tensor:
         raise ShapeError(f"dim {dim} not divisible by {n_heads} heads")
     batch = rows // seq_len
     hd = dim // n_heads
-    inv = 1.0 / np.sqrt(hd)
+    c = 1.0 / np.sqrt(hd)
 
-    def split(i):
-        part = np.ascontiguousarray(qkv.data[:, i * dim:(i + 1) * dim])
-        return part.reshape(batch, seq_len, n_heads, hd).transpose(0, 2, 1, 3)
+    def heads(a):
+        """(rows, parts*dim) -> (parts, batch, heads, seq, hd), a view of a contiguous `a`."""
+        return a.reshape(batch, seq_len, -1, n_heads, hd).transpose(2, 0, 3, 1, 4)
 
-    qh, kh, vh = split(0), split(1), split(2)           # (batch, heads, seq, hd)
-    attn = qh @ kh.transpose(0, 1, 3, 2)
-    attn *= inv
-    attn -= attn.max(axis=-1, keepdims=True)
-    np.exp(attn, out=attn)
-    attn /= attn.sum(axis=-1, keepdims=True)
-    ctx = attn @ vh
-    out = Tensor(np.ascontiguousarray(ctx.transpose(0, 2, 1, 3).reshape(rows, dim)))
+    qh, kh, vh = heads(qkv.data)
+    y = np.empty((rows, dim))
+    yh = heads(y)[0]
+    blocks, stats = _attend(qh, kh, vh, c, yh)
+    out = Tensor(y)
 
     def vjp(g):
-        gh = g.reshape(batch, seq_len, n_heads, hd).transpose(0, 2, 1, 3)
-        gqkv = np.empty((batch, seq_len, 3, n_heads, hd))
-        gqkv[:, :, 2] = (attn.transpose(0, 1, 3, 2) @ gh).transpose(0, 2, 1, 3)
-        gscores = gh @ vh.transpose(0, 1, 3, 2)
-        gscores -= (gscores * attn).sum(axis=-1, keepdims=True)
-        gscores *= attn
-        gscores *= inv
-        gqkv[:, :, 0] = (gscores @ kh).transpose(0, 2, 1, 3)
-        gqkv[:, :, 1] = (gscores.transpose(0, 1, 3, 2) @ qh).transpose(0, 2, 1, 3)
-        return (gqkv.reshape(rows, width),)
+        gqkv = np.zeros((rows, width))
+        _attend_vjp(heads(g)[0], qh, kh, vh, c, yh, blocks, stats, *heads(gqkv))
+        return (gqkv,)
 
     _emit(out, (qkv,), vjp)
     return out

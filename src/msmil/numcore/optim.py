@@ -1,51 +1,25 @@
-"""Plain SGD with explicit gradient accumulation.
-
-Accumulated gradients are averaged, not summed, so the effective learning
-rate does not depend on how many micro-steps feed one update.
-"""
+"""Plain SGD: one update per backward pass."""
 
 from __future__ import annotations
 
-import numpy as np
-
-from .engine import EngineError, Tensor
-
-
-class ProtocolError(EngineError):
-    pass
+from .engine import Tensor
 
 
 class GradAccumSgd:
-    def __init__(self, params, lr: float, accum_steps: int = 1):
-        if accum_steps < 1:
-            raise ValueError("accum_steps must be >= 1")
+    """param <- param - lr * param.grad, for each parameter that has a gradient.
+
+    It accumulates nothing; the name and `step` stay because `perfbench`
+    subclasses this class and wraps `step`.
+    """
+
+    def __init__(self, params, lr: float):
         self.params: list[Tensor] = list(params)
         self.lr = float(lr)
-        self.accum_steps = int(accum_steps)
-        self._pending = [np.zeros_like(p.data) for p in self.params]
-        self._count = 0
-
-    @property
-    def ready(self) -> bool:
-        return self._count == self.accum_steps
-
-    def accumulate(self) -> None:
-        """Fold the current .grad of every parameter into the pending buffers."""
-        for p, buf in zip(self.params, self._pending):
-            if p.grad is not None:
-                buf += p.grad
-        self._count += 1
 
     def step(self) -> None:
-        """Apply param <- param - lr * mean(accumulated grads); clears buffers."""
-        if self._count != self.accum_steps:
-            raise ProtocolError(
-                f"step() after {self._count} accumulations, expected {self.accum_steps}"
-            )
-        for p, buf in zip(self.params, self._pending):
-            p.data -= self.lr * (buf / self.accum_steps)
-            buf[...] = 0.0
-        self._count = 0
+        for p in self.params:
+            if p.grad is not None:
+                p.data -= self.lr * p.grad
 
     def zero_grad(self) -> None:
         for p in self.params:

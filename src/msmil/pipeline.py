@@ -19,6 +19,7 @@ pure functions of the slide, so the cache changes nothing observable.
 
 from __future__ import annotations
 
+import math
 import struct
 import time
 from dataclasses import dataclass, field, replace
@@ -73,7 +74,6 @@ class TrainConfig:
     instances_per_graph: int = 64
     lr: float = 0.05
     epochs: int = 6
-    accum_steps: int = 1
     seed: int = 0
     stage: str = "e2e"                      # e2e | mil_only
     patch_source: str = "all_nonbackground"
@@ -85,6 +85,12 @@ class TrainConfig:
     def __post_init__(self):
         if self.instances_per_graph < 1:
             raise ValueError("instances_per_graph must be >= 1")
+        for key in ("lr", "stage2_lr", "epochs", "stage2_epochs"):
+            val = getattr(self, key)
+            if not (math.isfinite(val) and val >= 0):
+                raise ValueError(f"train.{key} must be finite and >= 0, got {val}")
+        if len(self.random_quotas) != 3 or any(not isinstance(q, int) or q < 0 for q in self.random_quotas):
+            raise ValueError(f"train.random_quotas must be three ints >= 0, got {self.random_quotas}")
         if self.stage not in ("e2e", "mil_only"):
             raise ValueError(f"unknown stage {self.stage!r}")
         if self.patch_source not in PATCH_SOURCES:
@@ -298,9 +304,7 @@ def _update(graph: nc.Graph, loss: nc.Tensor, opt: nc.GradAccumSgd) -> None:
     if np.isfinite(loss.item()):
         graph.backward(loss)
         if _non_finite(loss.item(), opt.params) is None:
-            opt.accumulate()
-            if opt.ready:
-                opt.step()
+            opt.step()
 
 
 def e2e_train_step(bank: SlideBank, model: Model, opt: nc.GradAccumSgd,
@@ -321,7 +325,7 @@ def e2e_train_step(bank: SlideBank, model: Model, opt: nc.GradAccumSgd,
 
 def train_e2e(banks: list[SlideBank], model: Model, cfg: TrainConfig) -> dict:
     """Joint training over epochs x slides (one slide bag per step)."""
-    opt = nc.GradAccumSgd(model.store.tensors(), lr=cfg.lr, accum_steps=cfg.accum_steps)
+    opt = nc.GradAccumSgd(model.store.tensors(), lr=cfg.lr)
     epochs = _Epochs("e2e", [b.label for b in banks], cfg, opt.params)
     for pos, rng in epochs:
         epochs.done(*e2e_train_step(banks[pos], model, opt, cfg, rng))
@@ -443,7 +447,7 @@ def train_mil_stage2(cache: FeatureCache, labels: dict[str, int], model: Model,
         raise CacheFormatError(f"cache slide {unknown[0]!r} has no label or no slide size")
     if cache.dim != model.mil_cfg.dim:
         raise CacheFormatError(f"cache features have dim {cache.dim}, the model wants {model.mil_cfg.dim}")
-    opt = nc.GradAccumSgd(model.store.subset("mil."), lr=cfg.lr, accum_steps=cfg.accum_steps)
+    opt = nc.GradAccumSgd(model.store.subset("mil."), lr=cfg.lr)
     epochs = _Epochs("mil_only", [labels[ident] for ident in idents], cfg, opt.params)
     # coordinates and scale codes of each slide, built once for every epoch
     layout = {}

@@ -243,6 +243,10 @@ def slide_seed(dataset_seed: int, index: int) -> int:
     return Rng(dataset_seed).child(index).u64()
 
 
+def _slide_ident(index: int) -> str:
+    return f"slide_{index:04d}"
+
+
 def _generate_slides(spec: SynthSpec, n_slides: int, seed: int):
     """(ident, label, slide seed, image, mask) per slide; labels cycle
     round-robin so classes stay balanced."""
@@ -250,7 +254,7 @@ def _generate_slides(spec: SynthSpec, n_slides: int, seed: int):
         label = i % spec.classes
         s_seed = slide_seed(seed, i)
         image, mask = generate_wsi(spec, label, s_seed)
-        yield f"slide_{i:04d}", label, s_seed, image, mask
+        yield _slide_ident(i), label, s_seed, image, mask
 
 
 def build_dataset(spec: SynthSpec, n_slides: int, seed: int) -> Dataset:
@@ -316,6 +320,7 @@ def write_dataset(root: Path, spec: SynthSpec, n_slides: int, seed: int) -> Data
 
 
 def load_dataset(root: Path) -> Dataset:
+    """The dataset `write_dataset` wrote; a slide it lists that is gone is a FileNotFoundError."""
     root = Path(root)
     man = read_manifest(root / "manifest.txt")
     spec = SynthSpec(
@@ -330,7 +335,10 @@ def load_dataset(root: Path) -> Dataset:
         macro_amp=int(man["macro_amp"]),
     )
     slides = []
-    for sdir in sorted(p for p in root.iterdir() if p.is_dir() and p.name.startswith("slide_")):
+    for i in range(int(man["slides"])):
+        sdir = root / _slide_ident(i)
+        if not sdir.is_dir():
+            raise FileNotFoundError(f"slide directory {sdir} named by the manifest is missing")
         meta = read_manifest(sdir / "meta.txt")
         slides.append(SlideRecord(
             sdir.name, int(meta["label"]), int(meta["W"]), int(meta["H"]),

@@ -1,3 +1,4 @@
+import shutil
 from dataclasses import fields, replace
 
 import numpy as np
@@ -18,7 +19,8 @@ from msmil.pipeline import (
     train_full,
     write_cache,
 )
-from msmil.synthwsi import SynthSpec, load_dataset, read_manifest, read_ppm, write_dataset, write_ppm
+from msmil.synthwsi import (SynthSpec, load_dataset, read_manifest, read_ppm, write_dataset,
+                            write_manifest, write_ppm)
 from tests.conftest import tiny_model_config
 
 TINY_SETS = [
@@ -289,7 +291,7 @@ def test_every_config_key_but_the_model_seed_is_a_config_field():
                   for section, cls in (("enc", EncoderConfig), ("mil", IaamConfig), ("train", TrainConfig))
                   for f in fields(cls)}
     assert set(_DEFAULTS) - {"model.seed"} == field_keys - set(_DERIVED)
-    assert len(_DEFAULTS) == 19
+    assert len(_DEFAULTS) == 18
 
 
 def test_config_file_precedence(cli_dataset, tmp_path, capsys):
@@ -324,20 +326,17 @@ def test_slide_with_no_usable_patch_exit_3(cli_trained, tmp_path, capsys):
 
 def test_corrupt_ppm_exit_2(cli_dataset, tmp_path):
     bad = tmp_path / "bad_ds"
-    import shutil
-
     shutil.copytree(cli_dataset, bad)
     (bad / "slide_0003" / "image.ppm").write_bytes(b"P6\n10 10\n255\n123")
     rc = main(["filter", "--dataset", str(bad), "--slide", "slide_0003", "--mask", "file"])
     assert rc == 2
 
 
-def _one_slide_copy(cli_dataset, tmp_path, ident="slide_0002"):
-    import shutil
-
+def _one_slide_copy(cli_dataset, tmp_path):
+    """A one-slide dataset whose slide_0000 is the CLI dataset's slide_0002."""
     bad = tmp_path / "bad_ds"
-    shutil.copytree(cli_dataset / ident, bad / ident)
-    shutil.copy(cli_dataset / "manifest.txt", bad)
+    shutil.copytree(cli_dataset / "slide_0002", bad / "slide_0000")
+    write_manifest(bad / "manifest.txt", {**read_manifest(cli_dataset / "manifest.txt"), "slides": 1})
     return bad
 
 
@@ -347,10 +346,10 @@ def _one_line(err: str) -> bool:
 
 def test_filter_mask_file_of_wrong_size_exit_2(cli_dataset, tmp_path, capsys):
     bad = _one_slide_copy(cli_dataset, tmp_path)
-    mask = bad / "slide_0002" / "mask.ppm"
+    mask = bad / "slide_0000" / "mask.ppm"
     write_ppm(np.zeros((512, 512, 3), dtype=np.uint8), mask)
     capsys.readouterr()
-    rc = main(["filter", "--dataset", str(bad), "--slide", "slide_0002", "--mask", "file"])
+    rc = main(["filter", "--dataset", str(bad), "--slide", "slide_0000", "--mask", "file"])
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith(f"io error: {mask}: ") and err.count("\n") == 1
@@ -358,10 +357,10 @@ def test_filter_mask_file_of_wrong_size_exit_2(cli_dataset, tmp_path, capsys):
 
 def test_filter_cut_mask_file_names_it_exit_2(cli_dataset, tmp_path, capsys):
     bad = _one_slide_copy(cli_dataset, tmp_path)
-    mask = bad / "slide_0002" / "mask.ppm"
+    mask = bad / "slide_0000" / "mask.ppm"
     mask.write_bytes(mask.read_bytes()[:1000])
     capsys.readouterr()
-    rc = main(["filter", "--dataset", str(bad), "--slide", "slide_0002", "--mask", "file"])
+    rc = main(["filter", "--dataset", str(bad), "--slide", "slide_0000", "--mask", "file"])
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith(f"io error: {mask}: truncated raster: ") and _one_line(err)
@@ -370,10 +369,10 @@ def test_filter_cut_mask_file_names_it_exit_2(cli_dataset, tmp_path, capsys):
 def test_image_file_breaking_the_side_rule_names_it_exit_2(cli_dataset, tmp_path, capsys):
     """A slide is 1024 * 2**k px on each side; 1024 x 3072 is refused."""
     bad = _one_slide_copy(cli_dataset, tmp_path)
-    image = bad / "slide_0002" / "image.ppm"
+    image = bad / "slide_0000" / "image.ppm"
     write_ppm(np.full((3072, 1024, 3), 200, dtype=np.uint8), image)
     capsys.readouterr()
-    rc = main(["filter", "--dataset", str(bad), "--slide", "slide_0002"])
+    rc = main(["filter", "--dataset", str(bad), "--slide", "slide_0000"])
     assert rc == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -411,6 +410,48 @@ def test_dataset_without_slides_exit_3(tmp_path, capsys, monkeypatch, command):
     err = capsys.readouterr().err
     assert err.startswith(f"missing input: dataset {root} has no slides") and _one_line(err)
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("setting", ["train.lr=nan", "train.lr=inf", "train.lr=-0.05",
+                                     "train.stage2_lr=nan", "train.epochs=-1", "train.stage2_epochs=-3",
+                                     "train.random_quotas=-1,2,3", "train.random_quotas=1,2"])
+def test_train_config_bad_number_exit_5(cli_dataset, tmp_path, capsys, setting):
+    out = tmp_path / "run"
+    capsys.readouterr()
+    rc = main(["train", "--dataset", str(cli_dataset), "--out", str(out), *TINY_SETS, "--set", setting])
+    assert rc == 5
+    captured = capsys.readouterr()
+    key = setting.split("=")[0]
+    assert captured.out == "" and captured.err.startswith(f"config error: {key} must be ")
+    assert _one_line(captured.err)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, message", [
+    (["eval", "--kfold", "-2"], "k-fold needs k >= 2 folds, got k=-2"),
+    (["eval", "--kfold", "0"], "k-fold needs k >= 2 folds, got k=0"),
+    (["sweep", "--sizes", ""], "sizes must be non-empty"),
+], ids=["kfold_-2", "kfold_0", "sizes_empty"])
+def test_kfold_below_two_or_no_sizes_exit_5(cli_dataset, capsys, command, message):
+    capsys.readouterr()
+    rc = main([command[0], "--dataset", str(cli_dataset), *command[1:], *TINY_SETS])
+    assert rc == 5
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(f"config error: {message}")
+    assert _one_line(captured.err)
+
+
+def test_dataset_missing_a_manifest_slide_exit_3(tmp_path, capsys):
+    root = tmp_path / "ds"
+    assert main(["generate", "--out", str(root), "--slides", "2", "--width", "1024",
+                 "--height", "1024", "--seed", "3"]) == 0
+    shutil.rmtree(root / "slide_0001")
+    capsys.readouterr()
+    rc = main(["filter", "--dataset", str(root), "--slide", "slide_0000"])
+    assert rc == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and _one_line(captured.err)
+    assert captured.err.startswith(f"missing input: slide directory {root / 'slide_0001'} ")
 
 
 @pytest.mark.parametrize("side", ["48", "1024"])

@@ -239,8 +239,9 @@ def test_evaluate_shares_the_lesion_fallback_of_inference(tiny_banks):
 
 
 def test_sweep_validates_sizes(tiny_banks):
-    with pytest.raises(InputError):
-        graph_size_sweep(tiny_banks, tiny_banks, [8, 4], TrainConfig(), tiny_trainer(5))
+    for sizes in ([8, 4], []):
+        with pytest.raises(InputError):
+            graph_size_sweep(tiny_banks, tiny_banks, sizes, TrainConfig(), tiny_trainer(5))
 
 
 def test_sweep_runs_independent_trainings(tiny_banks):

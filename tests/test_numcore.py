@@ -158,56 +158,21 @@ def test_cross_entropy_gradient_is_probs_minus_onehot():
 
 def test_sgd_plain_step():
     p = nc.param(np.array([[1.0, 2.0]]))
-    opt = nc.GradAccumSgd([p], lr=0.1, accum_steps=1)
+    idle = nc.param(np.array([[3.0]]))              # no gradient: left as it is
+    opt = nc.GradAccumSgd([p, idle], lr=0.1)
     p.grad = np.array([[1.0, -1.0]])
-    opt.accumulate()
     opt.step()
     np.testing.assert_allclose(p.data, [[0.9, 2.1]])
+    np.testing.assert_array_equal(idle.data, [[3.0]])
 
 
 def test_sgd_cancellation():
     p = nc.param(np.array([[5.0]]))
-    opt = nc.GradAccumSgd([p], lr=0.5, accum_steps=2)
-    p.grad = np.array([[3.0]])
-    opt.accumulate()
-    p.grad = np.array([[-3.0]])
-    opt.accumulate()
-    opt.step()
-    np.testing.assert_array_equal(p.data, [[5.0]])
-
-
-def test_sgd_accumulation_means_grads():
-    g = np.array([[0.7, -0.3]])
-    p1 = nc.param(np.array([[1.0, 1.0]]))
-    opt1 = nc.GradAccumSgd([p1], lr=0.2, accum_steps=4)
-    for _ in range(4):
-        p1.grad = g.copy()
-        opt1.accumulate()
-    opt1.step()
-
-    p2 = nc.param(np.array([[1.0, 1.0]]))
-    opt2 = nc.GradAccumSgd([p2], lr=0.2, accum_steps=1)
-    p2.grad = (g + g + g + g) / 4
-    opt2.accumulate()
-    opt2.step()
-    np.testing.assert_array_equal(p1.data, p2.data)
-
-
-def test_sgd_premature_step_is_protocol_error():
-    p = nc.param(np.array([[1.0]]))
-    opt = nc.GradAccumSgd([p], lr=0.1, accum_steps=3)
-    p.grad = np.array([[1.0]])
-    opt.accumulate()
-    with pytest.raises(nc.ProtocolError):
+    opt = nc.GradAccumSgd([p], lr=0.5)
+    for g in (3.0, -3.0):
+        p.grad = np.array([[g]])
         opt.step()
-
-
-def test_sgd_accumulate_never_mutates_params():
-    p = nc.param(np.array([[2.0]]))
-    opt = nc.GradAccumSgd([p], lr=0.1, accum_steps=2)
-    p.grad = np.array([[1.0]])
-    opt.accumulate()
-    np.testing.assert_array_equal(p.data, [[2.0]])
+    np.testing.assert_array_equal(p.data, [[5.0]])
 
 
 # ---------------------------------------------------------- gradient check
@@ -312,7 +277,7 @@ def test_conv_shape_error_names_the_shapes():
 
 def test_block_attention_finite_diff():
     rng = Rng(404)
-    qkv = nc.param(np.concatenate([_rand(rng, 2 * 3, 4) * 0.5 for _ in "qkv"], axis=1))
+    qkv = nc.param(_rand(rng, 2 * 3, 3 * 4) * 0.5)
     f = lambda: nc.sum_all(nc.silu(nc.block_self_attention(qkv, 3, 2)))
     assert nc.finite_diff_check(f, [qkv]) < 1e-4
 
@@ -332,6 +297,34 @@ def test_block_attention_matches_loop_of_plain_ops():
             vs = v.data[b * seq:(b + 1) * seq, h * hd:(h + 1) * hd]
             attn = nc.softmax_rows(nc.tensor(qs @ ks.T / np.sqrt(hd))).data
             np.testing.assert_allclose(fused[b * seq:(b + 1) * seq, h * hd:(h + 1) * hd], attn @ vs, atol=1e-12)
+
+
+def test_block_attention_across_blocks_matches_loop_of_plain_ops(monkeypatch):
+    """3 patches x 2 heads x 5 tokens in blocks of 2 query rows (the last one
+    short): forward and gradient against one matmul/softmax chain per
+    (patch, head), each on its own leaves."""
+    monkeypatch.setattr(nc.engine, "_ATTENTION_BLOCK", 2 * 3 * 2 * 5)
+    rng = Rng(1616)
+    batch, seq, dim, heads = 3, 5, 8, 2
+    hd = dim // heads
+    qkv = nc.param(_rand(rng, batch * seq, 3 * dim))
+    w = _rand(rng, batch * seq, dim)
+    fused = lambda: nc.sum_all(nc.mul(nc.block_self_attention(qkv, seq, heads), nc.tensor(w)))
+    out = nc.block_self_attention(qkv, seq, heads).data
+    backward_of(fused, qkv)
+    grad = np.empty_like(qkv.data)
+    for b in range(batch):
+        rows = slice(b * seq, (b + 1) * seq)
+        for h in range(heads):
+            cols = [slice(part * dim + h * hd, part * dim + (h + 1) * hd) for part in range(3)]
+            q, k, v = (nc.param(qkv.data[rows, c]) for c in cols)
+            chain = lambda: nc.matmul(nc.softmax_rows(nc.scale(nc.matmul(q, nc.transpose(k)), 1 / np.sqrt(hd))), v)
+            np.testing.assert_allclose(out[rows, cols[0]], chain().data, rtol=0, atol=1e-12)
+            backward_of(lambda: nc.sum_all(nc.mul(chain(), nc.tensor(w[rows, cols[0]]))), q, k, v)
+            for c, t in zip(cols, (q, k, v)):
+                grad[rows, c] = t.grad
+    np.testing.assert_allclose(qkv.grad, grad, rtol=0, atol=1e-12)
+    assert nc.finite_diff_check(fused, [qkv]) < 1e-4
 
 
 # -------------------------------------------------------------- graph mode

@@ -160,14 +160,6 @@ def test_training_is_bit_reproducible(tiny_banks):
     assert model_a.store.content_hash() == model_b.store.content_hash()
 
 
-def test_gradient_accumulation_spans_slides(tiny_banks):
-    cfg = TrainConfig(instances_per_graph=6, lr=0.05, epochs=1, seed=3,
-                      accum_steps=2, patch_source="lesion_only")
-    model = fresh_tiny_model(seed=2)
-    manifest = train_e2e(tiny_banks, model, cfg)
-    assert manifest["steps"] == len(tiny_banks)
-
-
 # ------------------------------------------------------------ feature cache
 
 
