@@ -10,7 +10,10 @@ standard output, diagnostics to standard error.
     slide=<id> predicted=<class> probs=[<p0> <p1> ...] patches=<n> wall_ms=<ms>
 
 followed by `` fallback=all_nonbackground`` when the slide had no lesion
-patch. ``probs`` holds one space-separated probability per class, printed at
+patch. The same rule picks a slide's patches in ``train`` (its batches under
+``train.patch_source=lesion_only`` and its cache rows, counted by the
+manifest's ``lesion_fallback_slides``), ``eval``, ``ablate`` and ``sweep``.
+``probs`` holds one space-separated probability per class, printed at
 round-trip precision: each token parses with ``float()`` to exactly the value
 ``infer_bank`` returned, so the printed values sum to 1 as that softmax does.
 
@@ -42,10 +45,12 @@ from .evalbench import (
     StratificationError,
     UndefinedAucError,
     ablation_run,
+    check_sizes,
     evaluate,
     format_table,
     graph_size_sweep,
     kfold_run,
+    stratified_folds,
     write_curve,
     write_report,
 )
@@ -294,6 +299,8 @@ def cmd_eval(args) -> int:
         if args.params is not None:
             raise CliConfigError("--kfold trains a fresh model per fold and takes no --params")
         enc_cfg, mil_cfg, train_cfg = configs_from(conf, dataset.spec.classes)
+        # refuse a --kfold the slides cannot fill before building any bank
+        stratified_folds([rec.label for rec in dataset.slides], args.kfold, train_cfg.seed)
         banks = build_banks(dataset, provider, enc_cfg.input_side)
         summary = kfold_run(banks, args.kfold, _trainer(enc_cfg, mil_cfg, conf), train_cfg)
         print(f"accuracy {summary['accuracy_mean']:.4f} +/- {summary['accuracy_sd']:.4f}  "
@@ -342,7 +349,7 @@ def cmd_ablate(args) -> int:
 
 def cmd_sweep(args) -> int:
     conf = load_run_config(args.config, args.set)
-    sizes = list(_csv_ints(args.sizes))
+    sizes = check_sizes(_csv_ints(args.sizes))
     dataset = _load_dataset(args.dataset)
     split = max(1, int(len(dataset.slides) * (1.0 - args.holdout))) if 0 < args.holdout < 1 else 0
     if not 0 < split < len(dataset.slides):

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import numcore as nc
-from .pipeline import Model, SlideBank, TrainConfig, bag_from_bank, infer_bank, select_batch
+from .pipeline import Model, SlideBank, TrainConfig, bag_from_bank, select_batch
 
 
 class InputError(Exception):
@@ -97,23 +97,19 @@ def auc_macro_ovr(prob_matrix: np.ndarray, labels) -> tuple[float, list[float]]:
 def evaluate_strategy(banks: list[SlideBank], model: Model, strategy: str, cfg: TrainConfig,
                       seed: int = 0) -> tuple[np.ndarray, np.ndarray, list[int], float]:
     """Predictions and probabilities for one patch-selection strategy,
-    identical model parameters across strategies; patches come from
-    `cfg.scales`, and random picks follow `cfg.random_quotas`."""
+    identical model parameters across strategies. Each slide's bag is the
+    whole `select_batch` pool (the grid size as the batch) at `cfg.scales`;
+    random picks follow `cfg.random_quotas`."""
     source = {"all": "all_nonbackground", "random": "random_k", "lesion": "lesion_only"}[strategy]
     t0 = time.perf_counter()
     preds, probs, counts = [], [], []
     rng = nc.Rng(seed)
     for pos, bank in enumerate(banks):
-        if source == "random_k":
-            idx = select_batch(bank, "random_k", 10 ** 9, rng.child(pos), cfg.scales, cfg.random_quotas)
-            p = model.mil.forward(bag_from_bank(bank, idx, model)).data[0]
-            n = len(idx)
-        else:
-            result = infer_bank(bank, model, source, cfg.scales)
-            p, n = result.probabilities, result.patch_count
+        idx = select_batch(bank, source, len(bank.refs), rng.child(pos), cfg.scales, cfg.random_quotas)
+        p = model.mil.forward(bag_from_bank(bank, idx, model)).data[0]
         preds.append(int(np.argmax(p)))
         probs.append(p)
-        counts.append(n)
+        counts.append(len(idx))
     wall = (time.perf_counter() - t0) * 1000.0
     return np.asarray(preds), np.stack(probs), counts, wall
 
@@ -159,8 +155,7 @@ def stratified_folds(labels, k: int, seed: int) -> list[list[int]]:
     return [sorted(f) for f in folds]
 
 
-def kfold_run(banks: list[SlideBank], k: int, trainer, cfg: TrainConfig,
-              eval_seed: int = 0) -> dict:
+def kfold_run(banks: list[SlideBank], k: int, trainer, cfg: TrainConfig) -> dict:
     """Train per fold via `trainer(train_banks, cfg) -> Model`; aggregate
     accuracy and AUC. Single-class test folds fall back to pooled AUC with
     a flag; a training split missing a class is a stratification error."""
@@ -177,7 +172,7 @@ def kfold_run(banks: list[SlideBank], k: int, trainer, cfg: TrainConfig,
             raise StratificationError(f"fold {fold_idx}: training split is missing a class")
         model = trainer(train_banks, cfg)
         test_banks = [banks[i] for i in test_idx]
-        preds, probs, _, _ = evaluate_strategy(test_banks, model, "lesion", cfg, eval_seed)
+        preds, probs, _, _ = evaluate_strategy(test_banks, model, "lesion", cfg)
         fold_labels = [b.label for b in test_banks]
         fold_acc.append(accuracy(preds, fold_labels))
         pooled_probs.append(probs)
@@ -231,16 +226,21 @@ def ablation_run(banks: list[SlideBank], model: Model, cfg: TrainConfig) -> dict
 # ------------------------------------------------------------------- sweep
 
 
+def check_sizes(sizes) -> list[int]:
+    """The sweep's graph sizes as a list, or InputError if they are not."""
+    sizes = list(sizes)
+    if not sizes or sizes != sorted(sizes) or sizes[0] < 1:
+        raise InputError(f"sizes must be non-empty, ascending and >= 1, got {sizes}")
+    return sizes
+
+
 def graph_size_sweep(train_banks: list[SlideBank], test_banks: list[SlideBank],
                      sizes, base_cfg: TrainConfig, trainer) -> list[tuple[int, float]]:
     """One independent training per graph size via `trainer(train_banks, cfg)
     -> Model`, the interface `kfold_run` uses; accuracy measured on the
     held-out banks."""
-    sizes = list(sizes)
-    if not sizes or sizes != sorted(sizes) or sizes[0] < 1:
-        raise InputError(f"sizes must be non-empty, ascending and >= 1, got {sizes}")
     curve = []
-    for size in sizes:
+    for size in check_sizes(sizes):
         cfg = replace(base_cfg, instances_per_graph=size)
         model = trainer(train_banks, cfg)
         report = evaluate(test_banks, model, cfg)

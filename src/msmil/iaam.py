@@ -118,15 +118,14 @@ class IaamTrace:
 
 
 class IaamNet:
-    def __init__(self, cfg: IaamConfig, store: ParamStore, rng: nc.Rng, prefix: str = "mil"):
+    def __init__(self, cfg: IaamConfig, store: ParamStore, rng: nc.Rng):
         self.cfg = cfg
-        self.prefix = prefix
         self.store = store
         d, r, q, c = cfg.dim, cfg.rank, cfg.queries, cfg.classes
-        store.new(f"{prefix}.fc_pos.w", uniform_init(rng, 3, d, (3, d)))
-        store.new(f"{prefix}.fc_pos.b", np.zeros((1, d)))
+        store.new("mil.fc_pos.w", uniform_init(rng, 3, d, (3, d)))
+        store.new("mil.fc_pos.b", np.zeros((1, d)))
         for l in range(cfg.layers):
-            base = f"{prefix}.mla{l}"
+            base = f"mil.mla{l}"
             # "head0" keeps the names that existing params files use
             store.new(f"{base}.head0.q_low", uniform_init(rng, d, r, (d, r)))
             store.new(f"{base}.head0.k_low", uniform_init(rng, d, r, (d, r)))
@@ -137,19 +136,19 @@ class IaamNet:
             store.new(f"{base}.mlp1.b", np.zeros((1, 4 * d)))
             store.new(f"{base}.mlp2.w", uniform_init(rng, 4 * d, d, (4 * d, d)))
             store.new(f"{base}.mlp2.b", np.zeros((1, d)))
-        store.new(f"{prefix}.dmq.queries", rng.normal(q * d).reshape(q, d) * 0.5)
-        store.new(f"{prefix}.dmq.query_proj", uniform_init(rng, d, d, (d, d)))
-        store.new(f"{prefix}.dmq.key_proj", uniform_init(rng, d, d, (d, d)))
-        store.new(f"{prefix}.dmq.value_proj", uniform_init(rng, d, d, (d, d)))
-        store.new(f"{prefix}.gate.w", uniform_init(rng, d, 1, (d, 1)))
-        store.new(f"{prefix}.gate.b", np.zeros((1, 1)))
+        store.new("mil.dmq.queries", rng.normal(q * d).reshape(q, d) * 0.5)
+        store.new("mil.dmq.query_proj", uniform_init(rng, d, d, (d, d)))
+        store.new("mil.dmq.key_proj", uniform_init(rng, d, d, (d, d)))
+        store.new("mil.dmq.value_proj", uniform_init(rng, d, d, (d, d)))
+        store.new("mil.gate.w", uniform_init(rng, d, 1, (d, 1)))
+        store.new("mil.gate.b", np.zeros((1, 1)))
         # damped head init: the pooled feature is a sum of `queries` gated
         # rows, so full-scale init starts with confidently wrong logits
-        store.new(f"{prefix}.head.w", uniform_init(rng, d, c, (d, c)) * 0.1)
-        store.new(f"{prefix}.head.b", np.zeros((1, c)))
+        store.new("mil.head.w", uniform_init(rng, d, c, (d, c)) * 0.1)
+        store.new("mil.head.b", np.zeros((1, c)))
 
     def _p(self, name: str) -> nc.Tensor:
-        return self.store[f"{self.prefix}.{name}"]
+        return self.store[f"mil.{name}"]
 
     # -------------------------------------------------------------- stages
 

@@ -82,26 +82,25 @@ class EncoderConfig:
 class PatchEncoder:
     """Conv trunk + transformer summarizer with named parameters."""
 
-    def __init__(self, cfg: EncoderConfig, store: ParamStore, rng: nc.Rng, prefix: str = "enc"):
+    def __init__(self, cfg: EncoderConfig, store: ParamStore, rng: nc.Rng):
         self.cfg = cfg
-        self.prefix = prefix
         c = cfg.feature_channels
         in_ch = 3
         for i, out_ch in enumerate(cfg.widths):
             fan_in = CONV_KERNEL * CONV_KERNEL * in_ch
-            store.new(f"{prefix}.conv{i}.w", uniform_init(rng, fan_in, out_ch, (fan_in, out_ch)))
-            store.new(f"{prefix}.conv{i}.b", np.zeros((1, out_ch)))
+            store.new(f"enc.conv{i}.w", uniform_init(rng, fan_in, out_ch, (fan_in, out_ch)))
+            store.new(f"enc.conv{i}.b", np.zeros((1, out_ch)))
             # per-position channel normalization: keeps faint texture contrast
             # at unit scale instead of being drowned by the mean tissue color
-            store.new(f"{prefix}.conv{i}.ln.g", np.ones((1, out_ch)))
-            store.new(f"{prefix}.conv{i}.ln.b", np.zeros((1, out_ch)))
+            store.new(f"enc.conv{i}.ln.g", np.ones((1, out_ch)))
+            store.new(f"enc.conv{i}.ln.b", np.zeros((1, out_ch)))
             in_ch = out_ch
         # unit-scale token: the pre-norm blocks and final norm handle scale,
         # and a near-constant row would sit in a high-curvature region of the
         # final normalization
-        store.new(f"{prefix}.cls", rng.normal(c).reshape(1, c))
+        store.new("enc.cls", rng.normal(c).reshape(1, c))
         for l in range(cfg.depth):
-            base = f"{prefix}.layer{l}"
+            base = f"enc.layer{l}"
             store.new(f"{base}.ln1.g", np.ones((1, c)))
             store.new(f"{base}.ln1.b", np.zeros((1, c)))
             # no qkv bias: a shared key bias is softmax-invariant (zero gradient)
@@ -117,17 +116,17 @@ class PatchEncoder:
             store.new(f"{base}.mlp2.b", np.zeros((1, c)))
         # final normalization of the classification token keeps the feature
         # scale stable for the fusion network regardless of depth
-        store.new(f"{prefix}.final_ln.g", np.ones((1, c)))
-        store.new(f"{prefix}.final_ln.b", np.zeros((1, c)))
-        store.new(f"{prefix}.proj.w", uniform_init(rng, c, cfg.token_dim, (c, cfg.token_dim)))
-        store.new(f"{prefix}.proj.b", np.zeros((1, cfg.token_dim)))
+        store.new("enc.final_ln.g", np.ones((1, c)))
+        store.new("enc.final_ln.b", np.zeros((1, c)))
+        store.new("enc.proj.w", uniform_init(rng, c, cfg.token_dim, (c, cfg.token_dim)))
+        store.new("enc.proj.b", np.zeros((1, cfg.token_dim)))
         self.store = store
         self._pos = sinusoid_table(cfg.feature_side ** 2, c)
 
     # ------------------------------------------------------------ pieces
 
     def _p(self, name: str) -> nc.Tensor:
-        return self.store[f"{self.prefix}.{name}"]
+        return self.store[f"enc.{name}"]
 
     def conv_trunk(self, x: nc.Tensor, batch: int) -> nc.Tensor:
         """(batch*S*S, 3) pixel rows -> (batch*m*m, c_f) feature rows."""

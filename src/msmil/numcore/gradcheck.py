@@ -17,7 +17,6 @@ def finite_diff_check(
     f: Callable[[], Tensor],
     params: Sequence[Tensor],
     h: float = 1e-4,
-    on_coord: Callable[[int, int], None] | None = None,
 ) -> float:
     """Compare analytic gradients of scalar f() against central differences.
 
@@ -40,8 +39,6 @@ def finite_diff_check(
     analytic = [np.zeros_like(p.data) if p.grad is None else p.grad.copy() for p in params]
 
     worst = 0.0
-    total = sum(p.data.size for p in params)
-    done = 0
     for p, an in zip(params, analytic):
         flat = p.data.reshape(-1)
         an_flat = an.reshape(-1)
@@ -55,7 +52,4 @@ def finite_diff_check(
             numeric = (f_plus - f_minus) / (2.0 * h)
             denom = max(abs(an_flat[i]), abs(numeric), 1e-8)
             worst = max(worst, abs(an_flat[i] - numeric) / denom)
-            done += 1
-            if on_coord is not None:
-                on_coord(done, total)
     return worst

@@ -88,7 +88,7 @@ class Rng:
 
     def sample(self, n: int, k: int) -> np.ndarray:
         """k distinct indices from range(n), order random (partial Fisher-Yates)."""
-        if k > n:
+        if not 0 <= k <= n:
             raise ValueError(f"cannot sample {k} from {n}")
         idx = np.arange(n, dtype=np.int64)
         for i in range(k):

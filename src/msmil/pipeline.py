@@ -15,6 +15,11 @@ the parameters; a feature not finite as float32 never reaches a cache.
 
 Per-slide patches are box-filtered once into an in-memory bank; they are
 pure functions of the slide, so the cache changes nothing observable.
+
+One rule picks a slide's instances: `SlideBank.usable_idx`, the lesion set
+or the non-background grid at the configured scales, falling back from an
+empty lesion set to that grid with a flag. Training batches (`select_batch`),
+the feature cache, inference and every evaluation strategy go through it.
 """
 
 from __future__ import annotations
@@ -120,8 +125,8 @@ def build_model(encoder_cfg: EncoderConfig, mil_cfg: IaamConfig, seed: int) -> M
         )
     store = ParamStore()
     rng = nc.Rng(seed)
-    encoder = PatchEncoder(encoder_cfg, store, rng.child(1), prefix="enc")
-    mil = IaamNet(mil_cfg, store, rng.child(2), prefix="mil")
+    encoder = PatchEncoder(encoder_cfg, store, rng.child(1))
+    mil = IaamNet(mil_cfg, store, rng.child(2))
     return Model(encoder, mil, store, encoder_cfg, mil_cfg)
 
 
@@ -144,26 +149,19 @@ class SlideBank:
     lesion_idx: np.ndarray                # indices into refs, sffm order
     lesion_set: PatchSet = field(repr=False, default=None)
 
-    def idx_for(self, source: str, scales: tuple[int, ...]) -> np.ndarray:
-        if source == "lesion_only":
-            idx = self.lesion_idx
-        else:
-            idx = np.flatnonzero(~self.background)
-        if tuple(scales) != SCALE_SIDES:
-            keep = {s for s in scales}
-            idx = np.asarray([i for i in idx if self.refs[i].d_k in keep], dtype=np.int64)
-        return idx
-
     def usable_idx(self, source: str, scales: tuple[int, ...]) -> tuple[np.ndarray, bool]:
-        """`idx_for(source)`, or the non-background grid with the fallback
-        flag set when that is empty; EmptySlideError when both are."""
-        idx = self.idx_for(source, scales)
+        """The slide's instances at `scales`, and whether they fell back: the
+        lesion set under "lesion_only", else the non-background grid. An
+        empty lesion set falls back to the non-background grid with the flag
+        set; EmptySlideError when nothing at `scales` is non-background."""
+        idx = self.lesion_idx if source == "lesion_only" else np.flatnonzero(~self.background)
+        if tuple(scales) != SCALE_SIDES:
+            idx = np.asarray([i for i in idx if self.refs[i].d_k in scales], dtype=np.int64)
         if len(idx):
             return idx, False
-        idx = self.idx_for("all_nonbackground", scales)
-        if len(idx) == 0:
-            raise EmptySlideError(f"slide {self.ident} has no usable patches")
-        return idx, True
+        if source == "lesion_only":
+            return self.usable_idx("all_nonbackground", scales)[0], True
+        raise EmptySlideError(f"slide {self.ident} has no usable patches")
 
 
 def build_bank(record: SlideRecord, provider: MaskProvider, resize_side: int) -> SlideBank:
@@ -211,21 +209,19 @@ def build_banks(dataset: Dataset, provider: MaskProvider, resize_side: int) -> l
 def select_batch(bank: SlideBank, source: str, batch: int, rng: nc.Rng,
                  scales: tuple[int, ...] = SCALE_SIDES,
                  quotas: tuple[int, int, int] = RANDOM_QUOTAS) -> np.ndarray:
-    """Uniform sample without replacement of min(batch, available) grid indices."""
+    """`bank.usable_idx(source, scales)`, cut under "random_k" to `quotas[c]`
+    random picks of each scale code c; then a uniform sample without
+    replacement of min(batch, available) of those grid indices."""
+    idx, _ = bank.usable_idx(source, scales)
     if source == "random_k":
-        pool = []
+        codes = np.asarray([bank.refs[i].scale_code for i in idx], dtype=np.int64)
+        picks = []
         for code, quota in enumerate(quotas):
-            scale_idx = [i for i in bank.idx_for("all_nonbackground", scales)
-                         if bank.refs[i].scale_code == code]
-            take = min(quota, len(scale_idx))
-            if take:
-                chosen = rng.sample(len(scale_idx), take)
-                pool.extend(scale_idx[j] for j in chosen)
-        idx = np.asarray(sorted(pool), dtype=np.int64)
-    else:
-        idx = bank.idx_for(source, scales)
-    if len(idx) == 0:
-        raise EmptySlideError(f"slide {bank.ident}: no candidate patches under {source!r}")
+            scale_idx = idx[codes == code]
+            picks.append(scale_idx[rng.sample(len(scale_idx), min(quota, len(scale_idx)))])
+        idx = np.sort(np.concatenate(picks))
+        if len(idx) == 0:
+            raise EmptySlideError(f"slide {bank.ident}: random quotas {tuple(quotas)} pick no patch")
     if batch >= len(idx):
         return idx
     pick = rng.sample(len(idx), batch)
@@ -365,17 +361,15 @@ class FeatureCache:
 
 
 def cache_features(banks: list[SlideBank], model: Model,
-                   source: str = "lesion_only",
                    scales: tuple[int, ...] = SCALE_SIDES) -> FeatureCache:
-    """Inference-mode extraction (no graph); rows follow slide id then
-    filter order. Values are stored as 32-bit floats (relative downcast
-    error bounded by 2**-24); one that overflows them is refused."""
+    """Inference-mode extraction (no graph) of the rows `infer_bank` encodes
+    for each slide; rows follow slide id, then `usable_idx` order. Values
+    are stored as 32-bit floats (relative downcast error bounded by 2**-24);
+    one that overflows them is refused."""
     rows = []
     sidecar = []
     for bank in sorted(banks, key=lambda b: b.ident):
-        idx = bank.idx_for(source, scales)
-        if len(idx) == 0:
-            continue
+        idx, _ = bank.usable_idx("lesion_only", scales)
         feats = model.encoder.extract_batch(bank.patches[idx].astype(np.float64))
         with np.errstate(over="ignore"):
             rows.append(feats.data.astype(np.float32))
@@ -489,8 +483,8 @@ class InferResult:
 
 def infer_bank(bank: SlideBank, model: Model, source: str = "lesion_only",
                scales: tuple[int, ...] = SCALE_SIDES) -> InferResult:
-    """Filter -> extract -> fuse, no graph recording. An empty filtered set
-    falls back to the non-background grid with a flag."""
+    """Filter -> extract -> fuse, no graph recording, on the bag of
+    `bank.usable_idx(source, scales)`; the result carries its fallback flag."""
     t0 = time.perf_counter()
     idx, fallback = bank.usable_idx(source, scales)
     bag = bag_from_bank(bank, idx, model)
@@ -515,8 +509,11 @@ def train_full(banks: list[SlideBank], model: Model,
     the trained encoder's cached features of `banks`. Returns the joint
     stage's manifest with the refinement's entries under `stage2.`, and
     the refinement's cache (None without one). The refinement leaves the
-    encoder as it was, so that cache is the trained model's cache too."""
+    encoder as it was, so that cache is the trained model's cache too.
+    `lesion_fallback_slides` counts the slides whose lesion_only batches
+    and cache rows are their non-background grid."""
     manifest = train_e2e(banks, model, cfg)
+    manifest["lesion_fallback_slides"] = sum(b.usable_idx("lesion_only", cfg.scales)[1] for b in banks)
     cache = None
     if cfg.stage2_epochs > 0:
         cache = cache_features(banks, model, scales=cfg.scales)

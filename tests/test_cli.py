@@ -441,6 +441,44 @@ def test_kfold_below_two_or_no_sizes_exit_5(cli_dataset, capsys, command, messag
     assert _one_line(captured.err)
 
 
+@pytest.mark.parametrize("command, message", [
+    (["eval", "--kfold", "-2"], "k-fold needs k >= 2 folds, got k=-2"),
+    (["eval", "--kfold", "5"], "k=5 exceeds 4 slides"),
+    (["sweep", "--sizes", ""], "sizes must be non-empty"),
+    (["sweep", "--sizes", "4,2"], "sizes must be non-empty, ascending and >= 1, got [4, 2]"),
+], ids=["kfold_-2", "kfold_5", "sizes_empty", "sizes_descending"])
+def test_kfold_and_sizes_are_refused_before_any_bank_is_built(cli_dataset, capsys, monkeypatch,
+                                                              command, message):
+    import msmil.cli
+
+    def no_banks(*args, **kwargs):
+        raise AssertionError("build_banks ran before the refusal")
+
+    monkeypatch.setattr(msmil.cli, "build_banks", no_banks)
+    capsys.readouterr()
+    rc = main([command[0], "--dataset", str(cli_dataset), *command[1:], *TINY_SETS])
+    assert rc == 5
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {message}") and _one_line(err)
+
+
+def test_train_lesion_only_on_a_blank_mask_falls_back(cli_dataset, tmp_path):
+    """A slide whose mask file marks no lesion trains, and is cached, on its
+    non-background grid; the manifest counts it."""
+    root = tmp_path / "blank_ds"
+    shutil.copytree(cli_dataset, root)
+    write_ppm(np.zeros((1024, 1024, 3), dtype=np.uint8), root / "slide_0001" / "mask.ppm")
+    out = tmp_path / "run"
+    rc = main(["train", "--dataset", str(root), "--out", str(out), "--mask", "file",
+               *TINY_SETS, "--set", "train.stage2_epochs=1"])
+    assert rc == 0
+    manifest = read_manifest(out / "manifest.txt")
+    assert manifest["slides"] == "4" and manifest["stage2.slides"] == "4"
+    assert manifest["lesion_fallback_slides"] == "1"
+    cache = read_cache(out / "features.msml")
+    assert "slide_0001" in cache.by_slide()
+
+
 def test_dataset_missing_a_manifest_slide_exit_3(tmp_path, capsys):
     root = tmp_path / "ds"
     assert main(["generate", "--out", str(root), "--slides", "2", "--width", "1024",

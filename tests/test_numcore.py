@@ -17,6 +17,17 @@ def backward_of(f, *params):
     return loss
 
 
+# ------------------------------------------------------------------- rng
+
+
+def test_rng_sample_refuses_a_negative_count():
+    with pytest.raises(ValueError, match="cannot sample -1 from 5"):
+        Rng(1).sample(5, -1)
+    with pytest.raises(ValueError, match="cannot sample 6 from 5"):
+        Rng(1).sample(5, 6)
+    assert len(Rng(1).sample(5, 0)) == 0
+
+
 # ---------------------------------------------------------------- matmul
 
 

@@ -9,6 +9,7 @@ from msmil.iaam import IaamConfig
 from msmil.msfem import ConfigError, EncoderConfig
 from msmil.paramio import ParamFormatError, load_params, read_params, write_params
 from msmil.pipeline import (
+    PATCH_SOURCES,
     CacheFormatError,
     DivergenceError,
     EmptySlideError,
@@ -89,14 +90,38 @@ def test_select_batch_scale_restriction(tiny_banks):
     assert len(idx) >= 1
 
 
-def test_select_batch_empty_slide_error(tiny_dataset):
+def test_select_batch_empty_lesion_set_falls_back(tiny_dataset):
+    """A slide with no lesion patch draws its lesion_only batches from the
+    non-background grid, with the same draws, as inference does."""
     ds, _ = tiny_dataset
     blank = OracleMaskProvider({
         ds.slides[0].ident: LesionMask(np.zeros((1024, 1024), dtype=bool))
     })
     bank = build_bank(ds.slides[0], blank, TINY_SIDE)
-    with pytest.raises(EmptySlideError):
-        select_batch(bank, "lesion_only", 4, nc.Rng(1))
+    assert len(bank.lesion_idx) == 0
+    np.testing.assert_array_equal(select_batch(bank, "lesion_only", 4, nc.Rng(1)),
+                                  select_batch(bank, "all_nonbackground", 4, nc.Rng(1)))
+    np.testing.assert_array_equal(select_batch(bank, "lesion_only", 10 ** 9, nc.Rng(1)),
+                                  np.flatnonzero(~bank.background))
+
+
+@pytest.mark.parametrize("source", PATCH_SOURCES)
+def test_select_batch_all_background_slide_raises(tiny_banks, source):
+    bank = replace(tiny_banks[0], lesion_idx=np.zeros(0, dtype=np.int64),
+                   background=np.ones_like(tiny_banks[0].background))
+    with pytest.raises(EmptySlideError, match="slide_0000 has no usable patches"):
+        select_batch(bank, source, 4, nc.Rng(1))
+
+
+def test_select_batch_random_quotas_picking_nothing_raise(tiny_banks):
+    with pytest.raises(EmptySlideError, match=r"quotas \(0, 0, 0\) pick no patch"):
+        select_batch(tiny_banks[0], "random_k", 4, nc.Rng(1), quotas=(0, 0, 0))
+
+
+def test_select_batch_refuses_a_negative_random_quota(tiny_banks):
+    """The quota draw passes a computed k to `Rng.sample`, which refuses k < 0."""
+    with pytest.raises(ValueError, match="cannot sample -1 from 64"):
+        select_batch(tiny_banks[0], "random_k", 4, nc.Rng(1), quotas=(-1, 2, 3))
 
 
 # --------------------------------------------------------------- e2e steps
