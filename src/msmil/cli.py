@@ -11,8 +11,8 @@ standard output, diagnostics to standard error.
 
 followed by `` fallback=all_nonbackground`` when the slide had no lesion
 patch. The same rule picks a slide's patches in ``train`` (its batches under
-``train.patch_source=lesion_only`` and its cache rows, counted by the
-manifest's ``lesion_fallback_slides``), ``eval``, ``ablate`` and ``sweep``.
+``train.patch_source=lesion_only`` and its cache rows), ``eval``, ``ablate``
+and ``sweep``; all but ``sweep`` report ``lesion_fallback_slides``.
 ``probs`` holds one space-separated probability per class, printed at
 round-trip precision: each token parses with ``float()`` to exactly the value
 ``infer_bank`` returned, so the printed values sum to 1 as that softmax does.
@@ -317,11 +317,12 @@ def cmd_eval(args) -> int:
     model, enc_cfg, _, train_cfg = _load_model_for(dataset, conf, args.params)
     banks = build_banks(dataset, provider, enc_cfg.input_side)
     report = evaluate(banks, model, train_cfg, args.strategy)
-    print(f"accuracy {report.accuracy:.4f}  auc {report.auc_macro:.4f}  "
-          f"slides {len(banks)}  wall_ms {report.wall_ms:.0f}")
+    print(f"accuracy {report.accuracy:.4f}  auc {report.auc_macro:.4f}  slides {len(banks)}  "
+          f"lesion_fallback_slides {report.lesion_fallback_slides}  wall_ms {report.wall_ms:.0f}")
     if out:
         entries = {"dataset": args.dataset, "strategy": args.strategy,
                    "accuracy": f"{report.accuracy:.6f}", "auc_macro": f"{report.auc_macro:.6f}",
+                   "lesion_fallback_slides": report.lesion_fallback_slides,
                    "wall_ms": f"{report.wall_ms:.1f}"}
         entries.update(echo_config(conf))
         rows = [[c] + list(map(int, report.confusion[c])) for c in range(report.confusion.shape[0])]
@@ -336,9 +337,8 @@ def cmd_ablate(args) -> int:
     model, enc_cfg, _, train_cfg = _load_model_for(dataset, conf, args.params)
     banks = build_banks(dataset, provider, enc_cfg.input_side)
     result = ablation_run(banks, model, train_cfg)
-    headers = ["strategy", "accuracy", "auc", "mean_patches", "wall_ms"]
-    rows = [[r["strategy"], r["accuracy"], r["auc"], r["mean_patches"], r["wall_ms"]]
-            for r in result["rows"]]
+    headers = ["strategy", "accuracy", "auc", "mean_patches", "lesion_fallback_slides", "wall_ms"]
+    rows = [[r[h] for h in headers] for r in result["rows"]]
     print(format_table(headers, rows))
     if args.out:
         entries = {"dataset": args.dataset, "params_hash": result["params_hash"]}

@@ -38,6 +38,7 @@ class EvalReport:
     confusion: np.ndarray
     patch_counts: list[int]
     wall_ms: float
+    lesion_fallback_slides: int      # bags that fell back from an empty lesion set
 
 
 def accuracy(preds, labels) -> float:
@@ -94,13 +95,17 @@ def auc_macro_ovr(prob_matrix: np.ndarray, labels) -> tuple[float, list[float]]:
 # ------------------------------------------------------------- evaluation
 
 
+STRATEGY_SOURCES = {"all": "all_nonbackground", "random": "random_k", "lesion": "lesion_only"}
+STRATEGIES = tuple(STRATEGY_SOURCES)
+
+
 def evaluate_strategy(banks: list[SlideBank], model: Model, strategy: str, cfg: TrainConfig,
                       seed: int = 0) -> tuple[np.ndarray, np.ndarray, list[int], float]:
     """Predictions and probabilities for one patch-selection strategy,
     identical model parameters across strategies. Each slide's bag is the
     whole `select_batch` pool (the grid size as the batch) at `cfg.scales`;
     random picks follow `cfg.random_quotas`."""
-    source = {"all": "all_nonbackground", "random": "random_k", "lesion": "lesion_only"}[strategy]
+    source = STRATEGY_SOURCES[strategy]
     t0 = time.perf_counter()
     preds, probs, counts = [], [], []
     rng = nc.Rng(seed)
@@ -116,8 +121,10 @@ def evaluate_strategy(banks: list[SlideBank], model: Model, strategy: str, cfg: 
 
 def evaluate(banks: list[SlideBank], model: Model, cfg: TrainConfig,
              strategy: str = "lesion", seed: int = 0) -> EvalReport:
+    """`evaluate_strategy`'s metrics, with its count of fallback slides."""
     labels = [b.label for b in banks]
     preds, probs, counts, wall = evaluate_strategy(banks, model, strategy, cfg, seed)
+    fallbacks = sum(b.usable_idx(STRATEGY_SOURCES[strategy], cfg.scales)[1] for b in banks)
     n_classes = probs.shape[1]
     confusion = np.zeros((n_classes, n_classes), dtype=np.int64)
     for t, p in zip(labels, preds):
@@ -126,7 +133,7 @@ def evaluate(banks: list[SlideBank], model: Model, cfg: TrainConfig,
         macro, _ = auc_macro_ovr(probs, labels)
     except UndefinedAucError:
         macro = float("nan")
-    return EvalReport(accuracy(preds, labels), macro, confusion, counts, wall)
+    return EvalReport(accuracy(preds, labels), macro, confusion, counts, wall, fallbacks)
 
 
 # ------------------------------------------------------------------ k-fold
@@ -202,9 +209,6 @@ def kfold_run(banks: list[SlideBank], k: int, trainer, cfg: TrainConfig) -> dict
 # ---------------------------------------------------------------- ablation
 
 
-STRATEGIES = ("all", "random", "lesion")
-
-
 def ablation_run(banks: list[SlideBank], model: Model, cfg: TrainConfig) -> dict:
     """Evaluate the same trained parameters under each patch-selection
     strategy, seeded by `cfg.seed`; returns rows plus the parameter hash used
@@ -218,6 +222,7 @@ def ablation_run(banks: list[SlideBank], model: Model, cfg: TrainConfig) -> dict
             "auc": report.auc_macro,
             "mean_patches": float(np.mean(report.patch_counts)),
             "patch_counts": report.patch_counts,
+            "lesion_fallback_slides": report.lesion_fallback_slides,
             "wall_ms": report.wall_ms,
         })
     return {"rows": rows, "params_hash": model.store.content_hash()}

@@ -8,10 +8,12 @@ attention network on cached feature files in which patches are constants.
 The whole recipe is one `TrainConfig`, and `train_full` its one trainer:
 `epochs` of joint training at `lr`, then `stage2_epochs` of refinement at
 `stage2_lr` (none by default), the schedule `TrainConfig.stage2()` maps.
-Both stages run the same epoch schedule (`_Epochs`): slide order, batch
-streams, divergence check and manifest entries. A non-finite loss, or a
-finite loss with a non-finite gradient, stops training before it reaches
-the parameters; a feature not finite as float32 never reaches a cache.
+Both stages run one step (`_bag_step`) over one epoch loop (`_train_epochs`:
+slide order, batch streams, divergence check and manifest entries); stage
+two's bags hold constant features. A non-finite loss, or a finite loss with
+a non-finite gradient, stops training before it reaches the parameters; a
+feature not finite as float32 never reaches a cache. Training keeps freed
+heap in the process, so no step faults in its tape afresh.
 
 Per-slide patches are box-filtered once into an in-memory bank; they are
 pure functions of the slide, so the cache changes nothing observable.
@@ -24,6 +26,7 @@ the feature cache, inference and every evaluation strategy go through it.
 
 from __future__ import annotations
 
+import ctypes
 import math
 import struct
 import time
@@ -236,51 +239,51 @@ def bag_from_bank(bank: SlideBank, idx: np.ndarray, model: Model) -> Bag:
     return Bag(features, coords, scales, bank.width, bank.height, label=bank.label)
 
 
-# ----------------------------------------------------------- e2e training
+# --------------------------------------------------------------- training
 
 
-class _Epochs:
+def _keep_freed_heap() -> None:
+    """Keep up to 1 GiB of freed heap in the process. By default glibc unmaps
+    each freed block above its mmap threshold and trims the heap top, so every
+    step faults its tape in again page by page. Does nothing off glibc."""
+    try:
+        libc = ctypes.CDLL("libc.so.6")
+    except OSError:
+        return
+    libc.mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    libc.mallopt.restype = ctypes.c_int
+    for param in (-1, -3):  # M_TRIM_THRESHOLD, M_MMAP_THRESHOLD
+        libc.mallopt(param, 1 << 30)
+
+
+def _train_epochs(stage: str, labels: list[int], cfg: TrainConfig, params: list[nc.Tensor],
+                  step) -> dict:
     """The epoch schedule both training stages run, and its manifest.
-
-    Iterating yields (slide position, batch rng) once per step. The caller
-    runs the step in its own loop body and reports (loss, predicted label)
-    through `done` before taking the next one: that keeps each step's tape
-    alive until the next step's record replaces it, as one loop would. A
-    non-finite loss or gradient of `params` raises DivergenceError.
-    """
-
-    def __init__(self, stage: str, labels: list[int], cfg: TrainConfig, params: list[nc.Tensor]):
-        self.t0 = time.perf_counter()
-        self.labels = labels
-        self.cfg = cfg
-        self.params = params
-        self.manifest: dict = {"stage": stage, "slides": len(labels)}
-        self.result: tuple[float, int] | None = None
-
-    def done(self, loss: float, pred: int) -> None:
-        self.result = (loss, pred)
-
-    def __iter__(self):
-        root = nc.Rng(self.cfg.seed)
-        step = 0
-        for epoch in range(self.cfg.epochs):
-            order = root.child(100 + epoch).permutation(len(self.labels))
-            batch_rng = root.child(200 + epoch)
-            losses, hits = [], 0
-            for pos in order:
-                self.result = None
-                yield pos, batch_rng
-                loss, pred = self.result
-                what = _non_finite(loss, self.params)
-                if what:
-                    raise DivergenceError(step, what)
-                losses.append(loss)
-                hits += int(pred == self.labels[pos])
-                step += 1
-            self.manifest[f"epoch{epoch}_loss"] = f"{np.mean(losses):.6f}"
-            self.manifest[f"epoch{epoch}_acc"] = f"{hits / len(self.labels):.4f}"
-        self.manifest["steps"] = step
-        self.manifest["wall_clock_s"] = f"{time.perf_counter() - self.t0:.3f}"
+    `step(pos, rng)` trains on the slide at position `pos` with the epoch's
+    batch rng and returns (loss, predicted label). A non-finite loss or
+    gradient of `params` raises DivergenceError."""
+    _keep_freed_heap()
+    t0 = time.perf_counter()
+    manifest: dict = {"stage": stage, "slides": len(labels)}
+    root = nc.Rng(cfg.seed)
+    steps = 0
+    for epoch in range(cfg.epochs):
+        order = root.child(100 + epoch).permutation(len(labels))
+        batch_rng = root.child(200 + epoch)
+        losses, hits = [], 0
+        for pos in order:
+            loss, pred = step(pos, batch_rng)
+            what = _non_finite(loss, params)
+            if what:
+                raise DivergenceError(steps, what)
+            losses.append(loss)
+            hits += int(pred == labels[pos])
+            steps += 1
+        manifest[f"epoch{epoch}_loss"] = f"{np.mean(losses):.6f}"
+        manifest[f"epoch{epoch}_acc"] = f"{hits / len(labels):.4f}"
+    manifest["steps"] = steps
+    manifest["wall_clock_s"] = f"{time.perf_counter() - t0:.3f}"
+    return manifest
 
 
 def _non_finite(loss: float, params: list[nc.Tensor]) -> str | None:
@@ -294,13 +297,22 @@ def _non_finite(loss: float, params: list[nc.Tensor]) -> str | None:
     return None
 
 
-def _update(graph: nc.Graph, loss: nc.Tensor, opt: nc.GradAccumSgd) -> None:
-    """Backward and optimizer update. A non-finite loss skips both and a
-    non-finite gradient skips the update, so neither reaches the parameters."""
+def _bag_step(model: Model, opt: nc.GradAccumSgd, make_bag) -> tuple[float, int]:
+    """One optimizer step on one bag: a recorded forward from `make_bag()`
+    through the attention network to the loss, backward, and the update of
+    `opt`'s parameters. A non-finite loss skips backward and update, and a
+    non-finite gradient skips the update, so neither reaches the parameters.
+    Returns (loss, predicted label)."""
+    opt.zero_grad()
+    with nc.record() as graph:
+        bag = make_bag()
+        logits = model.mil.forward_logits(bag)
+        loss = nc.cross_entropy(logits, bag.label)
     if np.isfinite(loss.item()):
         graph.backward(loss)
         if _non_finite(loss.item(), opt.params) is None:
             opt.step()
+    return loss.item(), int(np.argmax(logits.data))
 
 
 def e2e_train_step(bank: SlideBank, model: Model, opt: nc.GradAccumSgd,
@@ -310,22 +322,15 @@ def e2e_train_step(bank: SlideBank, model: Model, opt: nc.GradAccumSgd,
     Returns (loss, predicted label)."""
     idx = select_batch(bank, cfg.patch_source, cfg.instances_per_graph, rng,
                        cfg.scales, cfg.random_quotas)
-    opt.zero_grad()
-    with nc.record() as graph:
-        bag = bag_from_bank(bank, idx, model)
-        logits = model.mil.forward_logits(bag)
-        loss = nc.cross_entropy(logits, bank.label)
-    _update(graph, loss, opt)
-    return loss.item(), int(np.argmax(logits.data))
+    return _bag_step(model, opt, lambda: bag_from_bank(bank, idx, model))
 
 
 def train_e2e(banks: list[SlideBank], model: Model, cfg: TrainConfig) -> dict:
     """Joint training over epochs x slides (one slide bag per step)."""
     opt = nc.GradAccumSgd(model.store.tensors(), lr=cfg.lr)
-    epochs = _Epochs("e2e", [b.label for b in banks], cfg, opt.params)
-    for pos, rng in epochs:
-        epochs.done(*e2e_train_step(banks[pos], model, opt, cfg, rng))
-    return epochs.manifest
+    # `e2e_train_step` is looked up per step, so a caller may wrap it
+    return _train_epochs("e2e", [b.label for b in banks], cfg, opt.params,
+                         lambda pos, rng: e2e_train_step(banks[pos], model, opt, cfg, rng))
 
 
 # ---------------------------------------------------------- feature cache
@@ -442,31 +447,21 @@ def train_mil_stage2(cache: FeatureCache, labels: dict[str, int], model: Model,
     if cache.dim != model.mil_cfg.dim:
         raise CacheFormatError(f"cache features have dim {cache.dim}, the model wants {model.mil_cfg.dim}")
     opt = nc.GradAccumSgd(model.store.subset("mil."), lr=cfg.lr)
-    epochs = _Epochs("mil_only", [labels[ident] for ident in idents], cfg, opt.params)
-    # coordinates and scale codes of each slide, built once for every epoch
+    # each slide's rows, coordinates and scale codes, built once for every epoch
     layout = {}
     for ident, idx in groups.items():
         entries = [cache.sidecar[i] for i in idx]
-        layout[ident] = (np.asarray([(e[1], e[2]) for e in entries], dtype=np.int64),
+        layout[ident] = (idx, np.asarray([(e[1], e[2]) for e in entries], dtype=np.int64),
                          np.asarray([e[4] for e in entries], dtype=np.int64))
-    # the step stays inline: its locals live until the next step replaces
-    # them, so the freed tape is reused instead of handed back to the OS. A
-    # prototype that moved both stages' steps into one function kept params
-    # bitwise equal but raised stage-2 page faults from 2,152 to 6,446 per
-    # step (in-process, BLAS on 1 thread)
-    for pos, _ in epochs:
+
+    def step(pos: int, _rng: nc.Rng) -> tuple[float, int]:
         ident = idents[pos]
-        coords, scales = layout[ident]
-        width, height = slide_dims[ident]
-        feats = nc.tensor(cache.rows[groups[ident]].astype(np.float64))
-        bag = Bag(feats, coords, scales, width, height, label=labels[ident])
-        opt.zero_grad()
-        with nc.record() as graph:
-            logits = model.mil.forward_logits(bag)
-            loss = nc.cross_entropy(logits, labels[ident])
-        _update(graph, loss, opt)
-        epochs.done(loss.item(), int(np.argmax(logits.data)))
-    return epochs.manifest
+        idx, coords, scales = layout[ident]
+        feats = nc.tensor(cache.rows[idx].astype(np.float64))
+        return _bag_step(model, opt, lambda: Bag(feats, coords, scales, *slide_dims[ident],
+                                                 label=labels[ident]))
+
+    return _train_epochs("mil_only", [labels[ident] for ident in idents], cfg, opt.params, step)
 
 
 # ---------------------------------------------------------------- inference
@@ -481,12 +476,11 @@ class InferResult:
     fallback: bool = False
 
 
-def infer_bank(bank: SlideBank, model: Model, source: str = "lesion_only",
-               scales: tuple[int, ...] = SCALE_SIDES) -> InferResult:
+def infer_bank(bank: SlideBank, model: Model, scales: tuple[int, ...] = SCALE_SIDES) -> InferResult:
     """Filter -> extract -> fuse, no graph recording, on the bag of
-    `bank.usable_idx(source, scales)`; the result carries its fallback flag."""
+    `bank.usable_idx("lesion_only", scales)`; the result carries its fallback flag."""
     t0 = time.perf_counter()
-    idx, fallback = bank.usable_idx(source, scales)
+    idx, fallback = bank.usable_idx("lesion_only", scales)
     bag = bag_from_bank(bank, idx, model)
     probs = model.mil.forward(bag).data[0]
     wall = (time.perf_counter() - t0) * 1000.0

@@ -462,14 +462,20 @@ def test_kfold_and_sizes_are_refused_before_any_bank_is_built(cli_dataset, capsy
     assert err.startswith(f"config error: {message}") and _one_line(err)
 
 
-def test_train_lesion_only_on_a_blank_mask_falls_back(cli_dataset, tmp_path):
-    """A slide whose mask file marks no lesion trains, and is cached, on its
-    non-background grid; the manifest counts it."""
-    root = tmp_path / "blank_ds"
+@pytest.fixture(scope="module")
+def blank_mask_dataset(cli_dataset, tmp_path_factory):
+    """`cli_dataset` with a mask file for slide_0001 that marks no lesion."""
+    root = tmp_path_factory.mktemp("blank") / "ds"
     shutil.copytree(cli_dataset, root)
     write_ppm(np.zeros((1024, 1024, 3), dtype=np.uint8), root / "slide_0001" / "mask.ppm")
+    return root
+
+
+def test_train_lesion_only_on_a_blank_mask_falls_back(blank_mask_dataset, tmp_path):
+    """A slide whose mask file marks no lesion trains, and is cached, on its
+    non-background grid; the manifest counts it."""
     out = tmp_path / "run"
-    rc = main(["train", "--dataset", str(root), "--out", str(out), "--mask", "file",
+    rc = main(["train", "--dataset", str(blank_mask_dataset), "--out", str(out), "--mask", "file",
                *TINY_SETS, "--set", "train.stage2_epochs=1"])
     assert rc == 0
     manifest = read_manifest(out / "manifest.txt")
@@ -622,6 +628,22 @@ def test_ablate_emits_three_row_table(cli_dataset, cli_trained, tmp_path, capsys
     assert lines[0].split()[0] == "strategy"
     assert [l.split()[0] for l in lines[1:4]] == ["all", "random", "lesion"]
     assert "params_hash=" in report.read_text()
+
+
+def test_eval_and_ablate_count_the_blank_mask_fallback(blank_mask_dataset, cli_trained, tmp_path, capsys):
+    """Only the lesion strategy reads the lesion set, so only its bags can
+    fall back; on the blank mask one does."""
+    args = ["--dataset", str(blank_mask_dataset), "--params", str(cli_trained / "params.msmp"),
+            "--mask", "file", *TINY_SETS]
+    report = tmp_path / "report_eval.txt"
+    capsys.readouterr()
+    assert main(["eval", *args, "--out", str(report)]) == 0
+    assert "  lesion_fallback_slides 1  " in capsys.readouterr().out
+    assert "lesion_fallback_slides=1\n" in report.read_text()
+    assert main(["ablate", *args]) == 0
+    header, *rows = [line.split() for line in capsys.readouterr().out.splitlines() if line.strip()]
+    col = header.index("lesion_fallback_slides")
+    assert {row[0]: row[col] for row in rows} == {"all": "0", "random": "0", "lesion": "1"}
 
 
 def test_sweep_emits_curve_file(cli_dataset, tmp_path, capsys):

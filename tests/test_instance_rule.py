@@ -6,6 +6,7 @@ evaluation strategies were moved onto that rule; the move must leave them
 unchanged on slides that have a lesion set.
 """
 
+import ctypes
 import hashlib
 
 import numpy as np
@@ -33,16 +34,34 @@ EVALUATE_SHA256 = {
 }
 
 
-@pytest.mark.parametrize("source", PATCH_SOURCES)
-def test_train_full_is_pinned_at_each_patch_source(tiny_banks, source):
+def _train_full_digest(banks, source: str) -> str:
     model = fresh_tiny_model(seed=3)
     cfg = TrainConfig(instances_per_graph=8, lr=0.02, epochs=2, stage2_epochs=2, stage2_lr=0.02,
                       seed=4, patch_source=source, random_quotas=(5, 3, 1))
-    manifest, _ = train_full(tiny_banks, model, cfg)
+    manifest, _ = train_full(banks, model, cfg)
     digest = hashlib.sha256(model.store.content_hash().encode())
     for key in sorted(k for k in manifest if k.endswith(("_loss", "_acc"))):
         digest.update(f"{key}={manifest[key]}\n".encode())
-    assert digest.hexdigest() == TRAIN_FULL_SHA256[source]
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("source", PATCH_SOURCES)
+def test_train_full_is_pinned_at_each_patch_source(tiny_banks, source):
+    assert _train_full_digest(tiny_banks, source) == TRAIN_FULL_SHA256[source]
+
+
+def test_train_full_without_glibc_is_pinned(tiny_banks, monkeypatch):
+    """Where libc.so.6 does not load, training keeps the allocator's defaults
+    and trains the same."""
+    tried = []
+
+    def no_libc(name, *args, **kwargs):
+        tried.append(name)
+        raise OSError(f"{name}: cannot open shared object file")
+
+    monkeypatch.setattr(ctypes, "CDLL", no_libc)
+    assert _train_full_digest(tiny_banks, "lesion_only") == TRAIN_FULL_SHA256["lesion_only"]
+    assert tried == ["libc.so.6", "libc.so.6"]  # once per stage
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
