@@ -304,7 +304,8 @@ def cmd_eval(args) -> int:
         banks = build_banks(dataset, provider, enc_cfg.input_side)
         summary = kfold_run(banks, args.kfold, _trainer(enc_cfg, mil_cfg, conf), train_cfg)
         print(f"accuracy {summary['accuracy_mean']:.4f} +/- {summary['accuracy_sd']:.4f}  "
-              f"auc {summary['auc_mean']:.4f} +/- {summary['auc_sd']:.4f}")
+              f"auc {summary['auc_mean']:.4f} +/- {summary['auc_sd']:.4f}  "
+              f"lesion_fallback_slides {summary['lesion_fallback_slides']}")
         if out:
             entries = {"kfold": args.kfold, "dataset": args.dataset}
             entries.update(echo_config(conf))

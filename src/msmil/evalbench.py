@@ -119,12 +119,18 @@ def evaluate_strategy(banks: list[SlideBank], model: Model, strategy: str, cfg: 
     return np.asarray(preds), np.stack(probs), counts, wall
 
 
+def _fallback_slides(banks: list[SlideBank], strategy: str, cfg: TrainConfig) -> int:
+    """How many of the banks' bags under `strategy` are their non-background
+    grid because the slide has no lesion patch."""
+    return sum(b.usable_idx(STRATEGY_SOURCES[strategy], cfg.scales)[1] for b in banks)
+
+
 def evaluate(banks: list[SlideBank], model: Model, cfg: TrainConfig,
              strategy: str = "lesion", seed: int = 0) -> EvalReport:
     """`evaluate_strategy`'s metrics, with its count of fallback slides."""
     labels = [b.label for b in banks]
     preds, probs, counts, wall = evaluate_strategy(banks, model, strategy, cfg, seed)
-    fallbacks = sum(b.usable_idx(STRATEGY_SOURCES[strategy], cfg.scales)[1] for b in banks)
+    fallbacks = _fallback_slides(banks, strategy, cfg)
     n_classes = probs.shape[1]
     confusion = np.zeros((n_classes, n_classes), dtype=np.int64)
     for t, p in zip(labels, preds):
@@ -164,14 +170,16 @@ def stratified_folds(labels, k: int, seed: int) -> list[list[int]]:
 
 def kfold_run(banks: list[SlideBank], k: int, trainer, cfg: TrainConfig) -> dict:
     """Train per fold via `trainer(train_banks, cfg) -> Model`; aggregate
-    accuracy and AUC. Single-class test folds fall back to pooled AUC with
-    a flag; a training split missing a class is a stratification error."""
+    accuracy and AUC, and count the test folds' lesion fallback slides.
+    Single-class test folds fall back to pooled AUC with a flag; a training
+    split missing a class is a stratification error."""
     labels = [b.label for b in banks]
     classes = set(labels)
     folds = stratified_folds(labels, k, cfg.seed)
     fold_acc, fold_auc = [], []
     pooled_probs, pooled_labels = [], []
     pooled_flag = False
+    fallbacks = 0
     for fold_idx, test_idx in enumerate(folds):
         test_set = set(test_idx)
         train_banks = [b for i, b in enumerate(banks) if i not in test_set]
@@ -180,6 +188,7 @@ def kfold_run(banks: list[SlideBank], k: int, trainer, cfg: TrainConfig) -> dict
         model = trainer(train_banks, cfg)
         test_banks = [banks[i] for i in test_idx]
         preds, probs, _, _ = evaluate_strategy(test_banks, model, "lesion", cfg)
+        fallbacks += _fallback_slides(test_banks, "lesion", cfg)
         fold_labels = [b.label for b in test_banks]
         fold_acc.append(accuracy(preds, fold_labels))
         pooled_probs.append(probs)
@@ -195,6 +204,7 @@ def kfold_run(banks: list[SlideBank], k: int, trainer, cfg: TrainConfig) -> dict
         "accuracy_sd": float(np.std(fold_acc)),
         "fold_sizes": [len(f) for f in folds],
         "pooled_auc_fallback": pooled_flag,
+        "lesion_fallback_slides": fallbacks,
     }
     if pooled_flag:
         macro, _ = auc_macro_ovr(np.concatenate(pooled_probs), pooled_labels)

@@ -14,8 +14,11 @@ softmax-attention kernel (IAAM's `nc.attention` runs it too). Each conv
 stage (conv, per-position channel norm, SiLU) is one `nc.conv_stage` node,
 computed over spans of whole patches: the tape holds the stage's input map,
 its standardized map and each position's 1/std, not the unfolded k*k*c_in
-columns, the conv output or the norm output. The backward unfolds the
-columns again span by span, so its temporaries do not grow with the batch.
+columns, the conv output or the norm output. The spans run on up to two
+threads, forward and backward; the backward unfolds the columns again span
+by span, so its temporaries do not grow with the batch, and adds the weight,
+bias and norm gradients up in span order, so no value depends on the thread
+count.
 """
 
 from __future__ import annotations

@@ -34,17 +34,22 @@ ops keep at most their index arrays.
 `conv_stage` is one encoder conv stage, silu(layer_norm(conv(x))), as one
 node computed over spans of whole patches whose unfolded columns stay under
 `_CONV_SPAN` elements; its tape keeps no (rows, k*k*c_in) columns, conv
-output or norm output. The vjp runs the whole chain per span. It recomputes
-the SiLU input from the standardized map, folds the pre-norm gradient @ w.T
-back onto the input map (skipped when the map needs no gradient, as for
-pixels), and only then unfolds that span's columns again for the weight
-gradient. So no backward temporary grows with the batch, at the cost of one
-extra unfold per stage. With one span, the forward and every gradient have
-the bits of the conv_unfold/linear/layer_norm/silu chain. Over several spans
-the parameter gradients are sums of per-span sums, and the forward keeps the
-chain's bits as long as BLAS gives a span's rows the bits it gives them in
-the whole batch: it does at the encoder's shapes, but not for a one-row
-span. `layer_norm` and `silu` share their row-norm and SiLU math with it.
+output or norm output. The spans run on a private pool of up to
+`_CONV_WORKERS` threads (BLAS and large ufuncs release the GIL). Each span
+writes only its own rows and its own patches of the map gradient, and the
+caller adds the parameter gradients up in span order, so the partition and
+every bit are the same on one thread and on two. The vjp runs the whole
+chain per span. It recomputes the SiLU input from the standardized map,
+folds the pre-norm gradient @ w.T back onto the input map (skipped when the
+map needs no gradient, as for pixels), and only then unfolds that span's
+columns again for the weight gradient. So no backward temporary grows with
+the batch, at the cost of one extra unfold per stage. With one span, the
+forward and every gradient have the bits of the conv_unfold/linear/
+layer_norm/silu chain. Over several spans the parameter gradients are sums
+of per-span sums, and the forward keeps the chain's bits as long as BLAS
+gives a span's rows the bits it gives them in the whole batch: it does at
+the encoder's shapes, but not for a one-row span. `layer_norm` and `silu`
+share their row-norm and SiLU math with it.
 
 Gradient rules are verified against central finite differences by
 `gradcheck.finite_diff_check`; keep any new op covered there.
@@ -53,6 +58,8 @@ Gradient rules are verified against central finite differences by
 from __future__ import annotations
 
 import math
+import os
+from collections import deque
 from contextlib import contextmanager
 from typing import Callable, Sequence
 
@@ -515,8 +522,52 @@ def conv_unfold(a: Tensor, batch: int, side: int, k: int, stride: int, pad: int)
     return out
 
 
-# unfolded columns per span of whole patches in `conv_stage`: 4 MiB of float64
-_CONV_SPAN = 2 ** 19
+# unfolded columns per span of whole patches in `conv_stage`: 2 MiB of
+# float64, so the spans in flight hold at most _CONV_WORKERS * 2 MiB
+_CONV_SPAN = 2 ** 18
+# threads that run `conv_stage`'s spans; set by no option, like the span
+_CONV_WORKERS = 2
+_span_executor = None                               # (pid, pool)
+
+
+def _span_workers() -> int:
+    """min(_CONV_WORKERS, the CPUs this process may run on)."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:                          # no affinity API off Linux
+        cpus = os.cpu_count() or 1
+    return min(_CONV_WORKERS, cpus)
+
+
+def _span_pool():
+    """The process's span pool of `_span_workers()` threads, made on first use
+    (again in a forked child, which has none of its parent's threads)."""
+    global _span_executor
+    if _span_executor is None or _span_executor[0] != os.getpid():
+        # imported here: concurrent.futures pulls in logging, ~0.5 MiB that a
+        # process running no conv stage would carry for nothing
+        from concurrent.futures import ThreadPoolExecutor
+        _span_executor = (os.getpid(), ThreadPoolExecutor(_span_workers(), thread_name_prefix="conv-span"))
+    return _span_executor[1]
+
+
+def _span_results(fn: Callable, spans: list[tuple[int, int]]):
+    """fn(p0, p1) for each span, run on the span pool and yielded in span
+    order. At most two spans per worker are handed to the pool ahead of the
+    caller, so the results held do not grow with the batch. A span's error is
+    raised in span order, once every span handed over has ended, so no span
+    still writes when the caller goes on."""
+    pool, ahead, window = _span_pool(), deque(), 2 * _span_workers()
+    try:
+        for span in spans:
+            if len(ahead) == window:
+                yield ahead.popleft().result()
+            ahead.append(pool.submit(fn, *span))
+        while ahead:
+            yield ahead.popleft().result()
+    finally:
+        for future in ahead:
+            future.exception()                      # waits for the span to end
 
 
 def conv_stage(x: Tensor, w: Tensor, b: Tensor, gain: Tensor, bias: Tensor, batch: int,
@@ -525,7 +576,7 @@ def conv_stage(x: Tensor, w: Tensor, b: Tensor, gain: Tensor, bias: Tensor, batc
     node, computed over spans of whole patches (see the module docstring).
 
     The tape keeps x, the standardized map xhat and each row's 1/std. The vjp
-    adds the w, b, gain and bias gradients up over the spans.
+    adds the w, b, gain and bias gradients up over the spans, in span order.
     """
     xd, wd, bd, gd, sd = x.data, w.data, b.data, gain.data, bias.data
     out_side = _conv_side(xd.shape[0], batch, side, k, stride, pad, "conv_stage")
@@ -541,7 +592,8 @@ def conv_stage(x: Tensor, w: Tensor, b: Tensor, gain: Tensor, bias: Tensor, batc
     y = np.empty((batch * n_out, wd.shape[1]))
     xhat = np.empty_like(y) if keep else None
     inv = np.empty((batch * n_out, 1)) if keep else None
-    for p0, p1 in spans:
+
+    def forward(p0, p1):
         r = slice(p0 * n_out, p1 * n_out)
         pre = _unfold(xd[p0 * n_in:p1 * n_in], p1 - p0, side, k, stride, pad, out_side) @ wd
         pre += bd
@@ -551,13 +603,15 @@ def conv_stage(x: Tensor, w: Tensor, b: Tensor, gain: Tensor, bias: Tensor, batc
         z = np.multiply(xh, gd, out=pre)
         z += sd
         _silu(z, out=y[r])
+
+    for _ in _span_results(forward, spans):
+        pass
     out = Tensor(y)
 
     def vjp(g):
         gx = np.zeros((batch, side, side, xd.shape[1])) if x.requires_grad else None
 
         def span(p0, p1):
-            # a function, so each span's temporaries are freed before the next's
             r = slice(p0 * n_out, p1 * n_out)
             xh = xhat[r]
             z = xh * gd
@@ -573,9 +627,10 @@ def conv_stage(x: Tensor, w: Tensor, b: Tensor, gain: Tensor, bias: Tensor, batc
                 gw = _unfold(xd[p0 * n_in:p1 * n_in], p1 - p0, side, k, stride, pad, out_side).T @ gpre
             return [gw, gpre.sum(axis=0, keepdims=True), ggain, gbias]
 
-        sums = span(*spans[0])                          # w, b, gain, bias
-        for p0, p1 in spans[1:]:
-            for i, part in enumerate(span(p0, p1)):
+        results = _span_results(span, spans)
+        sums = next(results)                            # w, b, gain, bias
+        for parts in results:
+            for i, part in enumerate(parts):
                 if part is not None:
                     sums[i] += part
         gw, gb, ggain, gbias = sums

@@ -243,17 +243,21 @@ def bag_from_bank(bank: SlideBank, idx: np.ndarray, model: Model) -> Bag:
 
 
 def _keep_freed_heap() -> None:
-    """Keep up to 1 GiB of freed heap in the process. By default glibc unmaps
-    each freed block above its mmap threshold and trims the heap top, so every
-    step faults its tape in again page by page. Does nothing off glibc."""
+    """Keep up to 1 GiB of freed heap in the process, in one arena. By default
+    glibc unmaps each freed block above its mmap threshold and trims the heap
+    top, so every step faults its tape in again page by page. Under the raised
+    thresholds each conv-span thread would also keep the blocks it freed in an
+    arena of its own, which adds their peak to the main one's; one arena
+    lets every thread reuse the same freed blocks. Does nothing off glibc."""
     try:
         libc = ctypes.CDLL("libc.so.6")
     except OSError:
         return
     libc.mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
     libc.mallopt.restype = ctypes.c_int
-    for param in (-1, -3):  # M_TRIM_THRESHOLD, M_MMAP_THRESHOLD
-        libc.mallopt(param, 1 << 30)
+    # M_ARENA_MAX, M_TRIM_THRESHOLD, M_MMAP_THRESHOLD
+    for param, value in ((-8, 1), (-1, 1 << 30), (-3, 1 << 30)):
+        libc.mallopt(param, value)
 
 
 def _train_epochs(stage: str, labels: list[int], cfg: TrainConfig, params: list[nc.Tensor],

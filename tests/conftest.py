@@ -1,9 +1,12 @@
+from concurrent.futures import Executor, Future
+
 import numpy as np
 import pytest
 
 import msmil.numcore as nc
 from msmil.iaam import IaamConfig
 from msmil.msfem import EncoderConfig
+from msmil.numcore import engine
 from msmil.numcore.engine import _emit
 from msmil.pipeline import build_banks, build_model, oracle_provider
 from msmil.synthwsi import SynthSpec, build_dataset, generate_wsi
@@ -20,6 +23,24 @@ def tiny_model_config():
 def fresh_tiny_model(seed=5):
     enc, mil = tiny_model_config()
     return build_model(enc, mil, seed=seed)
+
+
+class SerialExecutor(Executor):
+    """Runs each submitted call at once, on the caller's thread."""
+
+    def submit(self, fn, /, *args, **kwargs):
+        future = Future()
+        try:
+            future.set_result(fn(*args, **kwargs))
+        except BaseException as exc:
+            future.set_exception(exc)
+        return future
+
+
+@pytest.fixture
+def serial_spans(monkeypatch):
+    """`conv_stage` runs its spans one after another on the calling thread."""
+    monkeypatch.setattr(engine, "_span_pool", SerialExecutor)
 
 
 @pytest.fixture(scope="session")

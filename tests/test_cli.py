@@ -646,6 +646,20 @@ def test_eval_and_ablate_count_the_blank_mask_fallback(blank_mask_dataset, cli_t
     assert {row[0]: row[col] for row in rows} == {"all": "0", "random": "0", "lesion": "1"}
 
 
+def test_eval_kfold_counts_the_blank_mask_fallback(tmp_path, capsys):
+    """`eval --kfold` sums the test folds' fallback slides: on four C=2
+    slides with a blank mask for slide_0001, one."""
+    root = tmp_path / "ds"
+    assert main(["generate", "--out", str(root), "--slides", "4", "--classes", "2", "--seed", "3"]) == 0
+    write_ppm(np.zeros((1024, 1024, 3), dtype=np.uint8), root / "slide_0001" / "mask.ppm")
+    report = tmp_path / "report_kfold.txt"
+    capsys.readouterr()
+    assert main(["eval", "--dataset", str(root), "--kfold", "2", "--mask", "file",
+                 "--out", str(report), *TINY_SETS]) == 0
+    assert capsys.readouterr().out.rstrip().endswith("  lesion_fallback_slides 1")
+    assert "lesion_fallback_slides=1\n" in report.read_text()
+
+
 def test_sweep_emits_curve_file(cli_dataset, tmp_path, capsys):
     curve = tmp_path / "curve.txt"
     rc = main(["sweep", "--dataset", str(cli_dataset), "--sizes", "1,4",

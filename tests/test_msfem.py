@@ -226,10 +226,10 @@ def test_encoder_tape_keeps_no_unfolded_conv_columns():
         assert not any(np.array_equal(a, pre.data) or np.array_equal(a, normed.data) for a in same_shape)
 
 
-def test_conv_stage_backward_peak_is_set_by_the_span_not_the_batch():
+def test_conv_stage_backward_peak_is_set_by_the_span_not_the_batch(request):
     """Heap peak of one conv stage's vjp above its live tape, less the map
-    gradient it returns: bounded by the span's column budget, and the same
-    at batch 64 as at batch 16."""
+    gradient it returns: bounded by the column budget of the spans in flight,
+    one per worker thread, and the same at batch 64 as at batch 16."""
     cfg = EncoderConfig()
     side, c_in, c_out = cfg.input_side // CONV_STRIDE, cfg.widths[0], cfg.widths[1]
     rng = nc.Rng(7)
@@ -249,6 +249,10 @@ def test_conv_stage_backward_peak_is_set_by_the_span_not_the_batch():
             tracemalloc.stop()
         return peak - grads[0].nbytes
 
+    in_flight = engine._span_workers()
+    assert excess(64) <= 2 * in_flight * engine._CONV_SPAN * 8 <= 2 ** 23
+    # one span at a time, so neither peak depends on how the threads overlap
+    request.getfixturevalue("serial_spans")
     small, large = excess(16), excess(64)
     assert large <= 2 * engine._CONV_SPAN * 8
     assert large <= 1.1 * small

@@ -1,4 +1,6 @@
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -633,3 +635,85 @@ def test_conv_stage_over_several_spans_matches_the_chain(side, k, stride, pad, m
     assert y.tobytes() == y0.tobytes()
     for got, want in zip(grads, grads0):
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def _stage_bits(data, g, batch, side, k, stride, pad):
+    """conv_stage's unrecorded output, then its recorded output and its x, w,
+    b, gain and bias gradients under the weighted-sum loss `g`."""
+    x, w, b, gain, bias = (nc.param(d) for d in data)
+    plain = nc.conv_stage(x, w, b, gain, bias, batch, side, k, stride, pad).data
+    with nc.record() as graph:
+        out = nc.conv_stage(x, w, b, gain, bias, batch, side, k, stride, pad)
+        loss = nc.sum_all(nc.mul(out, nc.tensor(g)))
+    graph.backward(loss)
+    return [plain, out.data, x.grad, w.grad, b.grad, gain.grad, bias.grad]
+
+
+def _stage_inputs(rng, side, k, stride, pad, batch, monkeypatch):
+    """Inputs and an output weighting for a 3-to-4-channel stage, with a
+    column budget of two patches per span: a batch of five is three spans."""
+    n = (side + 2 * pad - k) // stride + 1
+    monkeypatch.setattr(engine, "_CONV_SPAN", 2 * n * n * k * k * 3)
+    data = [_rand(rng, batch * side * side, 3), _rand(rng, k * k * 3, 4), _rand(rng, 1, 4),
+            1.0 + 0.3 * _rand(rng, 1, 4), _rand(rng, 1, 4)]
+    return data, _rand(rng, batch * n * n, 4)
+
+
+@pytest.mark.parametrize("side,k,stride,pad", CONV_GRID)
+def test_conv_stage_bits_do_not_depend_on_the_worker_count(side, k, stride, pad, monkeypatch, request):
+    """Three spans on the span pool's threads and on the caller's thread
+    alone: the same bits, recorded and unrecorded, and every gradient."""
+    data, g = _stage_inputs(Rng(1616), side, k, stride, pad, 5, monkeypatch)
+    pooled = _stage_bits(data, g, 5, side, k, stride, pad)
+    request.getfixturevalue("serial_spans")
+    serial = _stage_bits(data, g, 5, side, k, stride, pad)
+    assert pooled[0].tobytes() == pooled[1].tobytes()
+    for got, want in zip(pooled, serial):
+        assert got.tobytes() == want.tobytes()
+
+
+def test_conv_stage_bits_hold_on_more_threads_than_cores(monkeypatch, request):
+    """Six spans on four threads that switch every microsecond, with eight
+    spans handed over ahead: the bits of the serial run."""
+    data, g = _stage_inputs(Rng(1818), 7, 3, 3, 2, 12, monkeypatch)
+    pool = ThreadPoolExecutor(4)
+    monkeypatch.setattr(engine, "_span_pool", lambda: pool)
+    monkeypatch.setattr(engine, "_span_workers", lambda: 4)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        pooled = _stage_bits(data, g, 12, 7, 3, 3, 2)
+    finally:
+        sys.setswitchinterval(interval)
+        pool.shutdown()
+    request.getfixturevalue("serial_spans")
+    serial = _stage_bits(data, g, 12, 7, 3, 3, 2)
+    for got, want in zip(pooled, serial):
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("fail_at", [2, 5], ids=["forward", "backward"])
+def test_a_failing_conv_span_reaches_the_caller_and_the_pool_goes_on(fail_at, monkeypatch):
+    """An error in one span (the 2nd unfold is in the forward, the 5th in the
+    backward) reaches the caller with its type and message; the next
+    conv_stage call gives the bits it gave before."""
+    data, g = _stage_inputs(Rng(1717), 4, 3, 2, 1, 5, monkeypatch)
+    before = _stage_bits(data, g, 5, 4, 3, 2, 1)
+    unfold, calls = engine._unfold, []
+
+    def failing(*args):
+        calls.append(None)
+        if len(calls) == fail_at:
+            raise FloatingPointError("span fault")
+        return unfold(*args)
+
+    monkeypatch.setattr(engine, "_unfold", failing)
+    x, w, b, gain, bias = (nc.param(d) for d in data)
+    with pytest.raises(FloatingPointError, match="^span fault$"):
+        with nc.record() as graph:
+            loss = nc.sum_all(nc.conv_stage(x, w, b, gain, bias, 5, 4, 3, 2, 1))
+        graph.backward(loss)
+    monkeypatch.setattr(engine, "_unfold", unfold)
+    after = _stage_bits(data, g, 5, 4, 3, 2, 1)
+    for got, want in zip(after, before):
+        assert got.tobytes() == want.tobytes()
