@@ -12,7 +12,8 @@ standard output, diagnostics to standard error.
 followed by `` fallback=all_nonbackground`` when the slide had no lesion
 patch. The same rule picks a slide's patches in ``train`` (its batches under
 ``train.patch_source=lesion_only`` and its cache rows), ``eval``, ``ablate``
-and ``sweep``; all but ``sweep`` report ``lesion_fallback_slides``.
+and ``sweep``; each reports ``lesion_fallback_slides``, and ``sweep`` counts
+its held-out slides in a line after the curve.
 ``probs`` holds one space-separated probability per class, printed at
 round-trip precision: each token parses with ``float()`` to exactly the value
 ``infer_bank`` returned, so the printed values sum to 1 as that softmax does.
@@ -47,6 +48,7 @@ from .evalbench import (
     ablation_run,
     check_sizes,
     evaluate,
+    fallback_slides,
     format_table,
     graph_size_sweep,
     kfold_run,
@@ -363,6 +365,7 @@ def cmd_sweep(args) -> int:
                              _trainer(enc_cfg, mil_cfg, conf))
     for b, acc in curve:
         print(f"{b} {acc:.4f}")
+    print(f"lesion_fallback_slides {fallback_slides(test_banks, 'lesion', train_cfg)}")
     if args.out:
         write_curve(Path(args.out), curve)
     return 0

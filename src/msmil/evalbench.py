@@ -119,7 +119,7 @@ def evaluate_strategy(banks: list[SlideBank], model: Model, strategy: str, cfg: 
     return np.asarray(preds), np.stack(probs), counts, wall
 
 
-def _fallback_slides(banks: list[SlideBank], strategy: str, cfg: TrainConfig) -> int:
+def fallback_slides(banks: list[SlideBank], strategy: str, cfg: TrainConfig) -> int:
     """How many of the banks' bags under `strategy` are their non-background
     grid because the slide has no lesion patch."""
     return sum(b.usable_idx(STRATEGY_SOURCES[strategy], cfg.scales)[1] for b in banks)
@@ -130,7 +130,7 @@ def evaluate(banks: list[SlideBank], model: Model, cfg: TrainConfig,
     """`evaluate_strategy`'s metrics, with its count of fallback slides."""
     labels = [b.label for b in banks]
     preds, probs, counts, wall = evaluate_strategy(banks, model, strategy, cfg, seed)
-    fallbacks = _fallback_slides(banks, strategy, cfg)
+    fallbacks = fallback_slides(banks, strategy, cfg)
     n_classes = probs.shape[1]
     confusion = np.zeros((n_classes, n_classes), dtype=np.int64)
     for t, p in zip(labels, preds):
@@ -188,7 +188,7 @@ def kfold_run(banks: list[SlideBank], k: int, trainer, cfg: TrainConfig) -> dict
         model = trainer(train_banks, cfg)
         test_banks = [banks[i] for i in test_idx]
         preds, probs, _, _ = evaluate_strategy(test_banks, model, "lesion", cfg)
-        fallbacks += _fallback_slides(test_banks, "lesion", cfg)
+        fallbacks += fallback_slides(test_banks, "lesion", cfg)
         fold_labels = [b.label for b in test_banks]
         fold_acc.append(accuracy(preds, fold_labels))
         pooled_probs.append(probs)

@@ -10,9 +10,10 @@ inference and attention diagnostics all read that pass, so a diagnostic is
 always the one behind the prediction.
 
 The latent attention runs as one fused `nc.attention` op, which keeps no
-(N, N) array, so a layer's memory is linear in the bag size. The
-cross attention keeps its matmul/softmax chain: its (queries, N) rows are the
-readout `IaamTrace` returns, and they are small.
+(N, N) array, so a layer's memory is linear in the bag size; its blocks of
+query rows run on the engine's worker threads, with the same bits on one
+thread as on two. The cross attention keeps its matmul/softmax chain: its
+(queries, N) rows are the readout `IaamTrace` returns, and they are small.
 
 Fidelity notes, each locked by a brute-force oracle test:
 * the latent attention layer is exactly

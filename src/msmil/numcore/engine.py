@@ -20,9 +20,13 @@ Softmax attention has one kernel, `_attend` with its vjp `_attend_vjp`,
 blocked with recompute (Rabe & Staats 2021, arXiv:2112.05682). It computes
 softmax_rows(c * q @ k.T) @ v over (..., rows, d) stacks in blocks of query
 rows and keeps each query row's max and sum, from which the vjp recomputes
-each block's probabilities. So no (rows, keys) array outlives a block.
-`attention` (IAAM's latent attention) runs it on 2-D q, k and v, and
-`block_self_attention` (the encoder's) on per-head views of one qkv array.
+each block's probabilities. So no (rows, keys) array outlives a block. A
+forward block holds one (rows, keys) array of at most `_ATTENTION_BLOCK`
+elements; a vjp block holds two, the probabilities and their gradient, so
+it gets half the rows. Either pass splits its rows evenly into the fewest
+blocks that fit. `attention` (IAAM's latent attention) runs it on 2-D q, k
+and v, and `block_self_attention` (the encoder's) on per-head views of one
+qkv array.
 
 A node's vjp keeps its inputs and its output, and beyond them only: each
 row's mean and 1/std for `layer_norm` (the standardized rows are recomputed),
@@ -31,25 +35,28 @@ for the two attention ops, and the standardized map and each row's 1/std
 for `conv_stage`. `silu` recomputes its sigmoid from the input; the shape
 ops keep at most their index arrays.
 
+Conv spans and attention blocks run on one private pool of up to
+`_WORKERS` threads (BLAS and large ufuncs release the GIL); a call with a
+single span or block runs it on the caller's thread. Each span or block
+writes only its own rows of the output and of the input gradient, and the
+caller adds the parts that every span contributes to (parameter gradients,
+attention key and value gradients) in span order. The partition depends
+only on the shapes, so every bit is the same on one thread and on two.
+
 `conv_stage` is one encoder conv stage, silu(layer_norm(conv(x))), as one
 node computed over spans of whole patches whose unfolded columns stay under
 `_CONV_SPAN` elements; its tape keeps no (rows, k*k*c_in) columns, conv
-output or norm output. The spans run on a private pool of up to
-`_CONV_WORKERS` threads (BLAS and large ufuncs release the GIL). Each span
-writes only its own rows and its own patches of the map gradient, and the
-caller adds the parameter gradients up in span order, so the partition and
-every bit are the same on one thread and on two. The vjp runs the whole
-chain per span. It recomputes the SiLU input from the standardized map,
-folds the pre-norm gradient @ w.T back onto the input map (skipped when the
-map needs no gradient, as for pixels), and only then unfolds that span's
-columns again for the weight gradient. So no backward temporary grows with
-the batch, at the cost of one extra unfold per stage. With one span, the
-forward and every gradient have the bits of the conv_unfold/linear/
-layer_norm/silu chain. Over several spans the parameter gradients are sums
-of per-span sums, and the forward keeps the chain's bits as long as BLAS
-gives a span's rows the bits it gives them in the whole batch: it does at
-the encoder's shapes, but not for a one-row span. `layer_norm` and `silu`
-share their row-norm and SiLU math with it.
+output or norm output. The vjp runs the whole chain per span. It recomputes
+the SiLU input from the standardized map, folds the pre-norm gradient @ w.T
+back onto the input map (skipped when the map needs no gradient, as for
+pixels), and only then unfolds that span's columns again for the weight
+gradient. So no backward temporary grows with the batch, at the cost of one
+extra unfold per stage. With one span, the forward and every gradient have
+the bits of the conv_unfold/linear/layer_norm/silu chain. Over several spans
+the parameter gradients are sums of per-span sums, and the forward keeps the
+chain's bits as long as BLAS gives a span's rows the bits it gives them in
+the whole batch: it does at the encoder's shapes, but not for a one-row
+span. `layer_norm` and `silu` share their row-norm and SiLU math with it.
 
 Gradient rules are verified against central finite differences by
 `gradcheck.finite_diff_check`; keep any new op covered there.
@@ -523,20 +530,21 @@ def conv_unfold(a: Tensor, batch: int, side: int, k: int, stride: int, pad: int)
 
 
 # unfolded columns per span of whole patches in `conv_stage`: 2 MiB of
-# float64, so the spans in flight hold at most _CONV_WORKERS * 2 MiB
+# float64, so the spans in flight hold at most _WORKERS * 2 MiB
 _CONV_SPAN = 2 ** 18
-# threads that run `conv_stage`'s spans; set by no option, like the span
-_CONV_WORKERS = 2
+# threads that run conv spans and attention blocks; set by no option, like
+# the span and the block
+_WORKERS = 2
 _span_executor = None                               # (pid, pool)
 
 
 def _span_workers() -> int:
-    """min(_CONV_WORKERS, the CPUs this process may run on)."""
+    """min(_WORKERS, the CPUs this process may run on)."""
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:                          # no affinity API off Linux
         cpus = os.cpu_count() or 1
-    return min(_CONV_WORKERS, cpus)
+    return min(_WORKERS, cpus)
 
 
 def _span_pool():
@@ -545,18 +553,22 @@ def _span_pool():
     global _span_executor
     if _span_executor is None or _span_executor[0] != os.getpid():
         # imported here: concurrent.futures pulls in logging, ~0.5 MiB that a
-        # process running no conv stage would carry for nothing
+        # process running no span on the pool would carry for nothing
         from concurrent.futures import ThreadPoolExecutor
-        _span_executor = (os.getpid(), ThreadPoolExecutor(_span_workers(), thread_name_prefix="conv-span"))
+        _span_executor = (os.getpid(), ThreadPoolExecutor(_span_workers(), thread_name_prefix="msmil-span"))
     return _span_executor[1]
 
 
 def _span_results(fn: Callable, spans: list[tuple[int, int]]):
-    """fn(p0, p1) for each span, run on the span pool and yielded in span
-    order. At most two spans per worker are handed to the pool ahead of the
-    caller, so the results held do not grow with the batch. A span's error is
-    raised in span order, once every span handed over has ended, so no span
-    still writes when the caller goes on."""
+    """fn(p0, p1) for each span, yielded in span order. A lone span runs on
+    the caller's thread; more run on the span pool, with at most two spans
+    per worker handed over ahead of the caller, so the results held do not
+    grow with the batch. A span's error is raised in span order, once every
+    span handed over has ended, so no span still writes when the caller goes
+    on."""
+    if len(spans) == 1:
+        yield fn(*spans[0])
+        return
     pool, ahead, window = _span_pool(), deque(), 2 * _span_workers()
     try:
         for span in spans:
@@ -643,23 +655,39 @@ def conv_stage(x: Tensor, w: Tensor, b: Tensor, gain: Tensor, bias: Tensor, batc
     return out
 
 
-# scores per block of query rows in `_attend`, counted across the whole
-# stack: 1 MiB of float64
+# (rows, keys) scores per block of query rows in `_attend`, counted across
+# the whole stack: 1 MiB of float64. A vjp block holds two such arrays, the
+# probabilities and their gradient, so it gets half the rows.
 _ATTENTION_BLOCK = 2 ** 17
 
 
-def _attend(qd: np.ndarray, kd: np.ndarray, vd: np.ndarray, c: float, y: np.ndarray):
+def _row_blocks(rows: int, budget: int, per_row: int) -> list[tuple[int, int]]:
+    """`rows` in the fewest blocks of at most max(1, budget // per_row) rows,
+    split evenly: 17 rows in blocks of up to 15 are 9 + 8, not 15 + 2."""
+    n = max(1, -(-rows // max(1, budget // per_row)))
+    size, extra = divmod(rows, n)
+    return [(i * size + min(i, extra), (i + 1) * size + min(i + 1, extra)) for i in range(n)]
+
+
+def _scores(qb: np.ndarray, kt: np.ndarray, c: float) -> np.ndarray:
+    """c * qb @ kt: a block's (..., rows, keys) attention logits."""
+    p = qb @ kt
+    p *= c
+    return p
+
+
+def _attend(qd: np.ndarray, kd: np.ndarray, vd: np.ndarray, c: float, y: np.ndarray) -> np.ndarray:
     """y <- softmax_rows(c * q @ k.T) @ v over (..., rows, d) stacks, in blocks
-    of query rows; `y` may be a view. Each block spans every key, so the values
-    are the matmul/scale/softmax_rows/matmul chain's. Returns the blocks and
-    each query row's (max, sum), the (..., rows, 2) stats `_attend_vjp` reads."""
-    per = max(1, _ATTENTION_BLOCK // (math.prod(qd.shape[:-2]) * kd.shape[-2]))
-    blocks = [slice(r0, r0 + per) for r0 in range(0, qd.shape[-2], per)]
+    of query rows run on the span pool; `y` may be a view. Each block spans
+    every key and writes only its own rows, so the values are the
+    matmul/scale/softmax_rows/matmul chain's. Returns each query row's
+    (max, sum), the (..., rows, 2) stats `_attend_vjp` reads."""
     stats = np.empty(qd.shape[:-1] + (2,))
     kt = np.swapaxes(kd, -1, -2)
-    for b in blocks:
-        p = qd[..., b, :] @ kt
-        p *= c
+
+    def block(r0, r1):
+        b = slice(r0, r1)
+        p = _scores(qd[..., b, :], kt, c)
         m = p.max(axis=-1, keepdims=True)
         p -= m
         np.exp(p, out=p)
@@ -667,22 +695,28 @@ def _attend(qd: np.ndarray, kd: np.ndarray, vd: np.ndarray, c: float, y: np.ndar
         p /= l
         y[..., b, :] = p @ vd
         stats[..., b, :1], stats[..., b, 1:] = m, l
-    return blocks, stats
+
+    per_row = math.prod(qd.shape[:-2]) * kd.shape[-2]
+    for _ in _span_results(block, _row_blocks(qd.shape[-2], _ATTENTION_BLOCK, per_row)):
+        pass
+    return stats
 
 
-def _attend_vjp(g, qd, kd, vd, c, y, blocks, stats, gq, gk, gv) -> None:
+def _attend_vjp(g, qd, kd, vd, c, y, stats, gq, gk, gv) -> None:
     """Gradients of `_attend` into gq (rows written) and gk, gv (added into, so
-    zeroed by the caller); each may be None or a view."""
+    zeroed by the caller); each may be None or a view. The blocks, of half the
+    forward's rows, run on the span pool; each writes its own rows of gq and
+    returns its parts of gk and gv, which are added in block order."""
     kt, vt = np.swapaxes(kd, -1, -2), np.swapaxes(vd, -1, -2)
-    for b in blocks:
-        p = qd[..., b, :] @ kt
-        p *= c
+
+    def block(r0, r1):
+        b = slice(r0, r1)
+        p = _scores(qd[..., b, :], kt, c)
         p -= stats[..., b, :1]
         np.exp(p, out=p)
         p /= stats[..., b, 1:]
         gb = g[..., b, :]
-        if gv is not None:
-            gv += np.swapaxes(p, -1, -2) @ gb
+        pv = None if gv is None else np.swapaxes(p, -1, -2) @ gb
         # rowsum(dp * p) == rowsum(g * out)
         dp = gb @ vt
         dp -= (gb * y[..., b, :]).sum(axis=-1, keepdims=True)
@@ -690,8 +724,14 @@ def _attend_vjp(g, qd, kd, vd, c, y, blocks, stats, gq, gk, gv) -> None:
         dp *= c
         if gq is not None:
             gq[..., b, :] = dp @ kd
-        if gk is not None:
-            gk += np.swapaxes(dp, -1, -2) @ qd[..., b, :]
+        return None if gk is None else np.swapaxes(dp, -1, -2) @ qd[..., b, :], pv
+
+    per_row = math.prod(qd.shape[:-2]) * kd.shape[-2]
+    for pk, pv in _span_results(block, _row_blocks(qd.shape[-2], _ATTENTION_BLOCK // 2, per_row)):
+        if pk is not None:
+            gk += pk
+        if pv is not None:
+            gv += pv
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, c: float) -> Tensor:
@@ -702,14 +742,14 @@ def attention(q: Tensor, k: Tensor, v: Tensor, c: float) -> Tensor:
         raise ShapeError(f"attention shape mismatch: q {qd.shape}, k {kd.shape}, v {vd.shape}")
     c = float(c)
     y = np.empty((qd.shape[0], vd.shape[1]))
-    blocks, stats = _attend(qd, kd, vd, c, y)
+    stats = _attend(qd, kd, vd, c, y)
     out = Tensor(y)
 
     def vjp(g):
         gq = np.empty_like(qd) if q.requires_grad else None
         gk = np.zeros_like(kd) if k.requires_grad else None
         gv = np.zeros_like(vd) if v.requires_grad else None
-        _attend_vjp(g, qd, kd, vd, c, y, blocks, stats, gq, gk, gv)
+        _attend_vjp(g, qd, kd, vd, c, y, stats, gq, gk, gv)
         return (gq, gk, gv)
 
     _emit(out, (q, k, v), vjp)
@@ -745,12 +785,12 @@ def block_self_attention(qkv: Tensor, seq_len: int, n_heads: int) -> Tensor:
     qh, kh, vh = heads(qkv.data)
     y = np.empty((rows, dim))
     yh = heads(y)[0]
-    blocks, stats = _attend(qh, kh, vh, c, yh)
+    stats = _attend(qh, kh, vh, c, yh)
     out = Tensor(y)
 
     def vjp(g):
         gqkv = np.zeros((rows, width))
-        _attend_vjp(heads(g)[0], qh, kh, vh, c, yh, blocks, stats, *heads(gqkv))
+        _attend_vjp(heads(g)[0], qh, kh, vh, c, yh, stats, *heads(gqkv))
         return (gqkv,)
 
     _emit(out, (qkv,), vjp)

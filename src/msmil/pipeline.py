@@ -246,7 +246,7 @@ def _keep_freed_heap() -> None:
     """Keep up to 1 GiB of freed heap in the process, in one arena. By default
     glibc unmaps each freed block above its mmap threshold and trims the heap
     top, so every step faults its tape in again page by page. Under the raised
-    thresholds each conv-span thread would also keep the blocks it freed in an
+    thresholds each span-pool thread would also keep the blocks it freed in an
     arena of its own, which adds their peak to the main one's; one arena
     lets every thread reuse the same freed blocks. Does nothing off glibc."""
     try:

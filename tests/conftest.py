@@ -39,7 +39,7 @@ class SerialExecutor(Executor):
 
 @pytest.fixture
 def serial_spans(monkeypatch):
-    """`conv_stage` runs its spans one after another on the calling thread."""
+    """Conv spans and attention blocks run one after another on the calling thread."""
     monkeypatch.setattr(engine, "_span_pool", SerialExecutor)
 
 

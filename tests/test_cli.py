@@ -660,6 +660,22 @@ def test_eval_kfold_counts_the_blank_mask_fallback(tmp_path, capsys):
     assert "lesion_fallback_slides=1\n" in report.read_text()
 
 
+@pytest.mark.parametrize("holdout,count", [("0.75", 1), ("0.5", 0)])
+def test_sweep_counts_the_blank_mask_fallback_of_its_held_out_slides(blank_mask_dataset, tmp_path, capsys,
+                                                                     holdout, count):
+    """`sweep` prints its held-out slides' fallback count after the curve:
+    slide_0001 (blank mask) is held out at --holdout 0.75 and trained on at
+    0.5. The curve file keeps its two columns."""
+    curve = tmp_path / "curve.txt"
+    capsys.readouterr()
+    assert main(["sweep", "--dataset", str(blank_mask_dataset), "--sizes", "1,4", "--mask", "file",
+                 "--out", str(curve), "--holdout", holdout, *TINY_SETS]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines[:2]] == ["1", "4"]
+    assert lines[2:] == [f"lesion_fallback_slides {count}"]
+    assert [len(row.split()) for row in curve.read_text().splitlines()] == [2, 2]
+
+
 def test_sweep_emits_curve_file(cli_dataset, tmp_path, capsys):
     curve = tmp_path / "curve.txt"
     rc = main(["sweep", "--dataset", str(cli_dataset), "--sizes", "1,4",

@@ -1,5 +1,6 @@
 import math
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -637,16 +638,21 @@ def test_conv_stage_over_several_spans_matches_the_chain(side, k, stride, pad, m
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
-def _stage_bits(data, g, batch, side, k, stride, pad):
-    """conv_stage's unrecorded output, then its recorded output and its x, w,
-    b, gain and bias gradients under the weighted-sum loss `g`."""
-    x, w, b, gain, bias = (nc.param(d) for d in data)
-    plain = nc.conv_stage(x, w, b, gain, bias, batch, side, k, stride, pad).data
+def _op_bits(op, data, g):
+    """op's unrecorded output, then its recorded output and its inputs'
+    gradients under the weighted-sum loss `g`."""
+    inputs = [nc.param(d) for d in data]
+    plain = op(*inputs).data
     with nc.record() as graph:
-        out = nc.conv_stage(x, w, b, gain, bias, batch, side, k, stride, pad)
+        out = op(*inputs)
         loss = nc.sum_all(nc.mul(out, nc.tensor(g)))
     graph.backward(loss)
-    return [plain, out.data, x.grad, w.grad, b.grad, gain.grad, bias.grad]
+    return [plain, out.data] + [t.grad for t in inputs]
+
+
+def _stage_bits(data, g, batch, side, k, stride, pad):
+    """`_op_bits` of conv_stage: x, w, b, gain and bias gradients."""
+    return _op_bits(lambda *t: nc.conv_stage(*t, batch, side, k, stride, pad), data, g)
 
 
 def _stage_inputs(rng, side, k, stride, pad, batch, monkeypatch):
@@ -717,3 +723,125 @@ def test_a_failing_conv_span_reaches_the_caller_and_the_pool_goes_on(fail_at, mo
     after = _stage_bits(data, g, 5, 4, 3, 2, 1)
     for got, want in zip(after, before):
         assert got.tobytes() == want.tobytes()
+
+
+def test_a_lone_span_runs_on_the_callers_thread(monkeypatch):
+    """A conv_stage of one span and an attention of one block, forward and
+    backward, never make the span pool."""
+    monkeypatch.setattr(engine, "_span_executor", None)
+    rng = Rng(1919)
+    x, w, b, gain, bias = (nc.param(_rand(rng, *shape)) for shape in
+                           ((2 * 4 * 4, 2), (9 * 2, 3), (1, 3), (1, 3), (1, 3)))
+    q, k, v = (nc.param(_rand(rng, *shape)) for shape in ((6, 3), (5, 3), (5, 4)))
+    backward_of(lambda: nc.add(nc.sum_all(nc.conv_stage(x, w, b, gain, bias, 2, 4, 3, 2, 1)),
+                               nc.sum_all(nc.attention(q, k, v, 0.5))), x, w, b, gain, bias, q, k, v)
+    assert engine._span_executor is None
+
+
+# -------------------------------------------------- attention blocks on the pool
+
+
+def test_row_blocks_split_rows_evenly():
+    assert engine._row_blocks(17, 30, 2) == [(0, 9), (9, 17)]
+    assert engine._row_blocks(16, 30, 2) == [(0, 8), (8, 16)]
+    assert engine._row_blocks(3, 100, 2) == [(0, 3)]
+    assert engine._row_blocks(3, 1, 2) == [(0, 1), (1, 2), (2, 3)]
+
+
+def _attention_op_case(rng, name, seqs, monkeypatch):
+    """(op, inputs, output weighting), with a block budget that splits the
+    query rows into at least 3 forward and 5 vjp blocks: `attention` of
+    13 * seqs queries over 6 keys in blocks of up to 6 rows (3 in the vjp),
+    or `block_self_attention` over `seqs` sequences of 7 tokens and 2 heads
+    in blocks of up to 2 rows (1 in the vjp)."""
+    if name == "attention":
+        monkeypatch.setattr(engine, "_ATTENTION_BLOCK", 6 * 6)
+        data = [_rand(rng, 13 * seqs, 3), _rand(rng, 6, 3), _rand(rng, 6, 4)]
+        return (lambda q, k, v: nc.attention(q, k, v, 0.6)), data, _rand(rng, 13 * seqs, 4)
+    monkeypatch.setattr(engine, "_ATTENTION_BLOCK", 2 * seqs * 2 * 7)
+    data = [_rand(rng, seqs * 7, 3 * 4)]
+    return (lambda qkv: nc.block_self_attention(qkv, 7, 2)), data, _rand(rng, seqs * 7, 4)
+
+
+@pytest.mark.parametrize("name", ["attention", "block_self_attention"])
+def test_attention_bits_do_not_depend_on_the_worker_count(name, monkeypatch, request):
+    """At least three blocks on the span pool's threads and on the caller's
+    thread alone: the same bits, recorded and unrecorded, and every gradient."""
+    op, data, g = _attention_op_case(Rng(2020), name, 3, monkeypatch)
+    pooled = _op_bits(op, data, g)
+    request.getfixturevalue("serial_spans")
+    serial = _op_bits(op, data, g)
+    assert pooled[0].tobytes() == pooled[1].tobytes()
+    for got, want in zip(pooled, serial):
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("name", ["attention", "block_self_attention"])
+def test_attention_bits_hold_on_more_threads_than_cores(name, monkeypatch, request):
+    """Many blocks on four threads that switch every microsecond, with eight
+    blocks handed over ahead: the bits of the serial run."""
+    op, data, g = _attention_op_case(Rng(2121), name, 4, monkeypatch)
+    pool = ThreadPoolExecutor(4)
+    monkeypatch.setattr(engine, "_span_pool", lambda: pool)
+    monkeypatch.setattr(engine, "_span_workers", lambda: 4)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        pooled = _op_bits(op, data, g)
+    finally:
+        sys.setswitchinterval(interval)
+        pool.shutdown()
+    request.getfixturevalue("serial_spans")
+    serial = _op_bits(op, data, g)
+    for got, want in zip(pooled, serial):
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("fail_at", [2, 5], ids=["forward", "backward"])
+def test_a_failing_attention_block_reaches_the_caller_and_the_pool_goes_on(fail_at, monkeypatch):
+    """An error in one block (the forward's 3 blocks make the first 3 score
+    calls, the vjp's the rest) reaches the caller with its type and message;
+    the next attention call gives the bits it gave before."""
+    op, data, g = _attention_op_case(Rng(2222), "attention", 1, monkeypatch)
+    before = _op_bits(op, data, g)
+    scores, calls = engine._scores, []
+
+    def failing(*args):
+        calls.append(None)
+        if len(calls) == fail_at:
+            raise FloatingPointError("block fault")
+        return scores(*args)
+
+    monkeypatch.setattr(engine, "_scores", failing)
+    q, k, v = (nc.param(d) for d in data)
+    with pytest.raises(FloatingPointError, match="^block fault$"):
+        backward_of(lambda: nc.sum_all(op(q, k, v)), q, k, v)
+    monkeypatch.setattr(engine, "_scores", scores)
+    after = _op_bits(op, data, g)
+    for got, want in zip(after, before):
+        assert got.tobytes() == want.tobytes()
+
+
+def test_attention_backward_peak_is_set_by_the_blocks_not_the_bag():
+    """Heap peak of IAAM's latent attention vjp on a 1,344-instance bag, above
+    its live tape and less the gradients it returns: at most the two
+    (rows, keys) arrays of each block running and the key and value parts of
+    every block handed over, far under the bag's (N, N) scores."""
+    n, dq, dv = 1344, 16, 64
+    rng = Rng(2323)
+    q, k = nc.param(_rand(rng, n, dq)), nc.param(_rand(rng, n, dq))
+    v = nc.param(_rand(rng, n, dv))
+    with nc.record() as graph:
+        out = nc.attention(q, k, v, 0.25)
+    g = _rand(rng, n, dv)
+    tracemalloc.start()
+    try:
+        grads = graph.nodes[-1].vjp(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    excess = peak - sum(grad.nbytes for grad in grads)
+    workers = engine._span_workers()
+    parts = n * (dq + dv) * 8
+    assert excess <= workers * engine._ATTENTION_BLOCK * 8 + (2 * workers + 1) * parts + 2 ** 18
+    assert excess <= n * n * 8 / 2
