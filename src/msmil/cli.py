@@ -25,8 +25,9 @@ the refinement carry a ``stage2.`` prefix. ``train --stage mil_only --cache
 F`` runs the refinement alone, on the same two keys (stage2_epochs >= 1).
 ``eval`` scores the model of ``--params``; ``eval --kfold`` and ``sweep``
 train a fresh model per fold or size, so ``eval`` takes exactly one of
-``--params`` and ``--kfold``. ``sweep --holdout`` is the held-out share
-of the slides: 0 < holdout < 1, leaving at least one held-out slide.
+``--params`` and ``--kfold``; both score the bags of ``--strategy``.
+``sweep --holdout`` is the held-out share of the slides: 0 < holdout < 1,
+leaving at least one held-out slide.
 
 Exit codes: 0 success, 2 I/O failure, 3 missing input (including a slide
 with no usable patch at the configured scales), 4 numeric failure
@@ -48,7 +49,6 @@ from .evalbench import (
     ablation_run,
     check_sizes,
     evaluate,
-    fallback_slides,
     format_table,
     graph_size_sweep,
     kfold_run,
@@ -69,6 +69,7 @@ from .pipeline import (
     build_banks,
     build_model,
     cache_features,
+    fallback_slides,
     infer_bank,
     oracle_provider,
     read_cache,
@@ -304,12 +305,12 @@ def cmd_eval(args) -> int:
         # refuse a --kfold the slides cannot fill before building any bank
         stratified_folds([rec.label for rec in dataset.slides], args.kfold, train_cfg.seed)
         banks = build_banks(dataset, provider, enc_cfg.input_side)
-        summary = kfold_run(banks, args.kfold, _trainer(enc_cfg, mil_cfg, conf), train_cfg)
+        summary = kfold_run(banks, args.kfold, _trainer(enc_cfg, mil_cfg, conf), train_cfg, args.strategy)
         print(f"accuracy {summary['accuracy_mean']:.4f} +/- {summary['accuracy_sd']:.4f}  "
               f"auc {summary['auc_mean']:.4f} +/- {summary['auc_sd']:.4f}  "
               f"lesion_fallback_slides {summary['lesion_fallback_slides']}")
         if out:
-            entries = {"kfold": args.kfold, "dataset": args.dataset}
+            entries = {"kfold": args.kfold, "dataset": args.dataset, "strategy": args.strategy}
             entries.update(echo_config(conf))
             entries.update({k: v for k, v in summary.items() if k != "fold_sizes"})
             entries["fold_sizes"] = ",".join(str(s) for s in summary["fold_sizes"])
@@ -365,7 +366,7 @@ def cmd_sweep(args) -> int:
                              _trainer(enc_cfg, mil_cfg, conf))
     for b, acc in curve:
         print(f"{b} {acc:.4f}")
-    print(f"lesion_fallback_slides {fallback_slides(test_banks, 'lesion', train_cfg)}")
+    print(f"lesion_fallback_slides {fallback_slides(test_banks, 'lesion_only', train_cfg.scales)}")
     if args.out:
         write_curve(Path(args.out), curve)
     return 0

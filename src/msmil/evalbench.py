@@ -1,5 +1,6 @@
 """Metrics, cross-validation protocol, strategy ablation, and the
-instances-in-graph sweep.
+instances-in-graph sweep. `evaluate` is the one scorer of a model on banks:
+k-fold, ablation and sweep read its `EvalReport`.
 
 Multi-class AUC is macro one-vs-rest computed from the rank statistic with
 midranks for ties; it equals exhaustive pair counting (tested both ways).
@@ -16,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import numcore as nc
-from .pipeline import Model, SlideBank, TrainConfig, bag_from_bank, select_batch
+from .pipeline import Model, SlideBank, TrainConfig, bag_from_bank, fallback_slides, select_batch
 
 
 class InputError(Exception):
@@ -34,8 +35,10 @@ class StratificationError(Exception):
 @dataclass
 class EvalReport:
     accuracy: float
-    auc_macro: float
+    auc_macro: float                 # NaN when a class is absent or the only one present
     confusion: np.ndarray
+    preds: np.ndarray                # (slides,) argmax class
+    probs: np.ndarray                # (slides, classes)
     patch_counts: list[int]
     wall_ms: float
     lesion_fallback_slides: int      # bags that fell back from an empty lesion set
@@ -51,16 +54,8 @@ def accuracy(preds, labels) -> float:
 
 def _midranks(scores: np.ndarray) -> np.ndarray:
     """1-based ranks; tied scores share the average of their rank range."""
-    order = np.argsort(scores, kind="stable")
-    ranks = np.empty(len(scores))
-    i = 0
-    while i < len(scores):
-        j = i
-        while j + 1 < len(scores) and scores[order[j + 1]] == scores[order[i]]:
-            j += 1
-        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    return ranks
+    _, inverse, counts = np.unique(scores, return_inverse=True, return_counts=True)
+    return (np.cumsum(counts) - (counts - 1) / 2.0)[inverse]
 
 
 def binary_auc(scores: np.ndarray, positive: np.ndarray) -> float:
@@ -99,47 +94,32 @@ STRATEGY_SOURCES = {"all": "all_nonbackground", "random": "random_k", "lesion": 
 STRATEGIES = tuple(STRATEGY_SOURCES)
 
 
-def evaluate_strategy(banks: list[SlideBank], model: Model, strategy: str, cfg: TrainConfig,
-                      seed: int = 0) -> tuple[np.ndarray, np.ndarray, list[int], float]:
-    """Predictions and probabilities for one patch-selection strategy,
-    identical model parameters across strategies. Each slide's bag is the
-    whole `select_batch` pool (the grid size as the batch) at `cfg.scales`;
-    random picks follow `cfg.random_quotas`."""
+def evaluate(banks: list[SlideBank], model: Model, cfg: TrainConfig,
+             strategy: str = "lesion", seed: int = 0) -> EvalReport:
+    """Run `model` over each bank's bag under `strategy` and score the
+    predictions against the banks' labels. Each slide's bag is the whole
+    `select_batch` pool (the grid size as the batch) at `cfg.scales`; random
+    picks follow `cfg.random_quotas`, seeded by `seed`."""
     source = STRATEGY_SOURCES[strategy]
     t0 = time.perf_counter()
-    preds, probs, counts = [], [], []
+    probs, counts = [], []
     rng = nc.Rng(seed)
     for pos, bank in enumerate(banks):
         idx = select_batch(bank, source, len(bank.refs), rng.child(pos), cfg.scales, cfg.random_quotas)
-        p = model.mil.forward(bag_from_bank(bank, idx, model)).data[0]
-        preds.append(int(np.argmax(p)))
-        probs.append(p)
+        probs.append(model.mil.forward(bag_from_bank(bank, idx, model)).data[0])
         counts.append(len(idx))
     wall = (time.perf_counter() - t0) * 1000.0
-    return np.asarray(preds), np.stack(probs), counts, wall
-
-
-def fallback_slides(banks: list[SlideBank], strategy: str, cfg: TrainConfig) -> int:
-    """How many of the banks' bags under `strategy` are their non-background
-    grid because the slide has no lesion patch."""
-    return sum(b.usable_idx(STRATEGY_SOURCES[strategy], cfg.scales)[1] for b in banks)
-
-
-def evaluate(banks: list[SlideBank], model: Model, cfg: TrainConfig,
-             strategy: str = "lesion", seed: int = 0) -> EvalReport:
-    """`evaluate_strategy`'s metrics, with its count of fallback slides."""
     labels = [b.label for b in banks]
-    preds, probs, counts, wall = evaluate_strategy(banks, model, strategy, cfg, seed)
-    fallbacks = fallback_slides(banks, strategy, cfg)
-    n_classes = probs.shape[1]
-    confusion = np.zeros((n_classes, n_classes), dtype=np.int64)
-    for t, p in zip(labels, preds):
-        confusion[t, p] += 1
+    probs = np.stack(probs)
+    preds = probs.argmax(axis=1)
+    confusion = np.zeros((probs.shape[1], probs.shape[1]), dtype=np.int64)
+    np.add.at(confusion, (labels, preds), 1)
     try:
         macro, _ = auc_macro_ovr(probs, labels)
     except UndefinedAucError:
         macro = float("nan")
-    return EvalReport(accuracy(preds, labels), macro, confusion, counts, wall, fallbacks)
+    return EvalReport(accuracy(preds, labels), macro, confusion, preds, probs, counts, wall,
+                      fallback_slides(banks, source, cfg.scales))
 
 
 # ------------------------------------------------------------------ k-fold
@@ -168,47 +148,34 @@ def stratified_folds(labels, k: int, seed: int) -> list[list[int]]:
     return [sorted(f) for f in folds]
 
 
-def kfold_run(banks: list[SlideBank], k: int, trainer, cfg: TrainConfig) -> dict:
-    """Train per fold via `trainer(train_banks, cfg) -> Model`; aggregate
-    accuracy and AUC, and count the test folds' lesion fallback slides.
-    Single-class test folds fall back to pooled AUC with a flag; a training
-    split missing a class is a stratification error."""
+def kfold_run(banks: list[SlideBank], k: int, trainer, cfg: TrainConfig,
+              strategy: str = "lesion") -> dict:
+    """Train per fold via `trainer(train_banks, cfg) -> Model`, `evaluate`
+    each test fold under `strategy`, and pool the reports' metrics and
+    fallback counts. A NaN fold AUC switches to the pooled AUC with a flag;
+    a training split missing a class is a stratification error."""
     labels = [b.label for b in banks]
-    classes = set(labels)
     folds = stratified_folds(labels, k, cfg.seed)
-    fold_acc, fold_auc = [], []
-    pooled_probs, pooled_labels = [], []
-    pooled_flag = False
-    fallbacks = 0
+    reports = []
     for fold_idx, test_idx in enumerate(folds):
-        test_set = set(test_idx)
-        train_banks = [b for i, b in enumerate(banks) if i not in test_set]
-        if {b.label for b in train_banks} != classes:
+        train_banks = [b for i, b in enumerate(banks) if i not in test_idx]
+        if {b.label for b in train_banks} != set(labels):
             raise StratificationError(f"fold {fold_idx}: training split is missing a class")
-        model = trainer(train_banks, cfg)
-        test_banks = [banks[i] for i in test_idx]
-        preds, probs, _, _ = evaluate_strategy(test_banks, model, "lesion", cfg)
-        fallbacks += fallback_slides(test_banks, "lesion", cfg)
-        fold_labels = [b.label for b in test_banks]
-        fold_acc.append(accuracy(preds, fold_labels))
-        pooled_probs.append(probs)
-        pooled_labels.extend(fold_labels)
-        try:
-            macro, _ = auc_macro_ovr(probs, fold_labels)
-            fold_auc.append(macro)
-        except UndefinedAucError:
-            pooled_flag = True
+        reports.append(evaluate([banks[i] for i in test_idx], trainer(train_banks, cfg), cfg, strategy))
+    fold_acc = [r.accuracy for r in reports]
+    fold_auc = [r.auc_macro for r in reports]
+    pooled_flag = bool(np.isnan(fold_auc).any())
     out = {
         "k": k,
         "accuracy_mean": float(np.mean(fold_acc)),
         "accuracy_sd": float(np.std(fold_acc)),
         "fold_sizes": [len(f) for f in folds],
         "pooled_auc_fallback": pooled_flag,
-        "lesion_fallback_slides": fallbacks,
+        "lesion_fallback_slides": sum(r.lesion_fallback_slides for r in reports),
     }
     if pooled_flag:
-        macro, _ = auc_macro_ovr(np.concatenate(pooled_probs), pooled_labels)
-        out["auc_mean"] = macro
+        pooled_labels = [labels[i] for f in folds for i in f]
+        out["auc_mean"], _ = auc_macro_ovr(np.concatenate([r.probs for r in reports]), pooled_labels)
         out["auc_sd"] = float("nan")
     else:
         out["auc_mean"] = float(np.mean(fold_auc))
@@ -242,9 +209,9 @@ def ablation_run(banks: list[SlideBank], model: Model, cfg: TrainConfig) -> dict
 
 
 def check_sizes(sizes) -> list[int]:
-    """The sweep's graph sizes as a list, or InputError if they are not."""
+    """The sweep's graph sizes as a list: >= 1 and strictly ascending, else InputError."""
     sizes = list(sizes)
-    if not sizes or sizes != sorted(sizes) or sizes[0] < 1:
+    if not sizes or sizes[0] < 1 or any(a >= b for a, b in zip(sizes, sizes[1:])):
         raise InputError(f"sizes must be non-empty, ascending and >= 1, got {sizes}")
     return sizes
 

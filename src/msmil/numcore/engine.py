@@ -45,14 +45,16 @@ only on the shapes, so every bit is the same on one thread and on two.
 
 `conv_stage` is one encoder conv stage, silu(layer_norm(conv(x))), as one
 node computed over spans of whole patches whose unfolded columns stay under
-`_CONV_SPAN` elements; its tape keeps no (rows, k*k*c_in) columns, conv
-output or norm output. The vjp runs the whole chain per span. It recomputes
-the SiLU input from the standardized map, folds the pre-norm gradient @ w.T
-back onto the input map (skipped when the map needs no gradient, as for
-pixels), and only then unfolds that span's columns again for the weight
-gradient. So no backward temporary grows with the batch, at the cost of one
-extra unfold per stage. With one span, the forward and every gradient have
-the bits of the conv_unfold/linear/layer_norm/silu chain. Over several spans
+`_CONV_SPAN` elements; `_row_blocks` splits the batch into the fewest such
+spans, evenly, as it splits attention rows into blocks. Its tape keeps no
+(rows, k*k*c_in) columns, conv output or norm output. The vjp runs the
+whole chain per span. It recomputes the SiLU input from the standardized
+map, folds the pre-norm gradient @ w.T back onto the input map (skipped
+when the map needs no gradient, as for pixels), and only then unfolds that
+span's columns again for the weight gradient. So no backward temporary
+grows with the batch, at the cost of one extra unfold per stage. With one
+span, the forward and every gradient have the bits of the
+conv_unfold/linear/layer_norm/silu chain. Over several spans
 the parameter gradients are sums of per-span sums, and the forward keeps the
 chain's bits as long as BLAS gives a span's rows the bits it gives them in
 the whole batch: it does at the encoder's shapes, but not for a one-row
@@ -598,8 +600,7 @@ def conv_stage(x: Tensor, w: Tensor, b: Tensor, gain: Tensor, bias: Tensor, batc
                          f"+ {bd.shape}, norm {gd.shape} {sd.shape}")
     _check_norm_cols(wd.shape[1], "conv_stage")
     n_in, n_out = side * side, out_side * out_side
-    per = max(1, _CONV_SPAN // (n_out * wd.shape[0]))
-    spans = [(p0, min(batch, p0 + per)) for p0 in range(0, batch, per)]
+    spans = _row_blocks(batch, _CONV_SPAN, n_out * wd.shape[0])
     keep = _recording((x, w, b, gain, bias))
     y = np.empty((batch * n_out, wd.shape[1]))
     xhat = np.empty_like(y) if keep else None

@@ -167,6 +167,12 @@ class SlideBank:
         raise EmptySlideError(f"slide {self.ident} has no usable patches")
 
 
+def fallback_slides(banks: list[SlideBank], source: str, scales: tuple[int, ...]) -> int:
+    """How many of `banks` fall back from an empty lesion set to their
+    non-background grid under `source` at `scales` (`SlideBank.usable_idx`)."""
+    return sum(b.usable_idx(source, scales)[1] for b in banks)
+
+
 def build_bank(record: SlideRecord, provider: MaskProvider, resize_side: int) -> SlideBank:
     check_patch_side(resize_side)  # with 1024 * 2**k slide sides, each crop slices a box level
     image = record.image()
@@ -511,7 +517,7 @@ def train_full(banks: list[SlideBank], model: Model,
     `lesion_fallback_slides` counts the slides whose lesion_only batches
     and cache rows are their non-background grid."""
     manifest = train_e2e(banks, model, cfg)
-    manifest["lesion_fallback_slides"] = sum(b.usable_idx("lesion_only", cfg.scales)[1] for b in banks)
+    manifest["lesion_fallback_slides"] = fallback_slides(banks, "lesion_only", cfg.scales)
     cache = None
     if cfg.stage2_epochs > 0:
         cache = cache_features(banks, model, scales=cfg.scales)

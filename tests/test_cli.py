@@ -446,7 +446,8 @@ def test_kfold_below_two_or_no_sizes_exit_5(cli_dataset, capsys, command, messag
     (["eval", "--kfold", "5"], "k=5 exceeds 4 slides"),
     (["sweep", "--sizes", ""], "sizes must be non-empty"),
     (["sweep", "--sizes", "4,2"], "sizes must be non-empty, ascending and >= 1, got [4, 2]"),
-], ids=["kfold_-2", "kfold_5", "sizes_empty", "sizes_descending"])
+    (["sweep", "--sizes", "4,4"], "sizes must be non-empty, ascending and >= 1, got [4, 4]"),
+], ids=["kfold_-2", "kfold_5", "sizes_empty", "sizes_descending", "sizes_repeated"])
 def test_kfold_and_sizes_are_refused_before_any_bank_is_built(cli_dataset, capsys, monkeypatch,
                                                               command, message):
     import msmil.cli
@@ -646,18 +647,37 @@ def test_eval_and_ablate_count_the_blank_mask_fallback(blank_mask_dataset, cli_t
     assert {row[0]: row[col] for row in rows} == {"all": "0", "random": "0", "lesion": "1"}
 
 
-def test_eval_kfold_counts_the_blank_mask_fallback(tmp_path, capsys):
-    """`eval --kfold` sums the test folds' fallback slides: on four C=2
-    slides with a blank mask for slide_0001, one."""
-    root = tmp_path / "ds"
+@pytest.fixture(scope="module")
+def blank_mask_c2_dataset(tmp_path_factory):
+    """Four C=2 slides, so two folds keep both classes, with a mask file for
+    slide_0001 that marks no lesion."""
+    root = tmp_path_factory.mktemp("blank_c2") / "ds"
     assert main(["generate", "--out", str(root), "--slides", "4", "--classes", "2", "--seed", "3"]) == 0
     write_ppm(np.zeros((1024, 1024, 3), dtype=np.uint8), root / "slide_0001" / "mask.ppm")
+    return root
+
+
+def test_eval_kfold_counts_the_blank_mask_fallback(blank_mask_c2_dataset, tmp_path, capsys):
+    """`eval --kfold` sums the test folds' fallback slides: on four C=2
+    slides with a blank mask for slide_0001, one."""
     report = tmp_path / "report_kfold.txt"
     capsys.readouterr()
-    assert main(["eval", "--dataset", str(root), "--kfold", "2", "--mask", "file",
+    assert main(["eval", "--dataset", str(blank_mask_c2_dataset), "--kfold", "2", "--mask", "file",
                  "--out", str(report), *TINY_SETS]) == 0
     assert capsys.readouterr().out.rstrip().endswith("  lesion_fallback_slides 1")
     assert "lesion_fallback_slides=1\n" in report.read_text()
+
+
+def test_eval_kfold_scores_the_bags_of_its_strategy(blank_mask_c2_dataset, tmp_path, capsys):
+    """`eval --kfold --strategy all` scores every fold on the non-background
+    grid, which never falls back, and its report names the strategy."""
+    report = tmp_path / "report_kfold.txt"
+    capsys.readouterr()
+    assert main(["eval", "--dataset", str(blank_mask_c2_dataset), "--kfold", "2", "--mask", "file",
+                 "--strategy", "all", "--out", str(report), *TINY_SETS]) == 0
+    assert capsys.readouterr().out.rstrip().endswith("  lesion_fallback_slides 0")
+    text = report.read_text()
+    assert "strategy=all\n" in text and "lesion_fallback_slides=0\n" in text
 
 
 @pytest.mark.parametrize("holdout,count", [("0.75", 1), ("0.5", 0)])

@@ -14,7 +14,6 @@ from msmil.evalbench import (
     auc_macro_ovr,
     binary_auc,
     evaluate,
-    evaluate_strategy,
     format_table,
     graph_size_sweep,
     kfold_run,
@@ -218,7 +217,8 @@ def test_ablate_kfold_and_sweep_score_only_the_configured_scales(tiny_banks, mon
     model = fresh_tiny_model(seed=7)
     cfg = TrainConfig(instances_per_graph=2, lr=0.0, epochs=1, seed=11, scales=(2048,))
     ablation_run(tiny_banks, model, cfg)
-    kfold_run(tiny_banks * 2, k=2, trainer=lambda banks, _cfg: model, cfg=cfg)
+    for strategy in ("lesion", "all"):
+        kfold_run(tiny_banks * 2, k=2, trainer=lambda banks, _cfg: model, cfg=cfg, strategy=strategy)
     graph_size_sweep(tiny_banks, tiny_banks, [2], cfg, tiny_trainer(7))
     assert seen == {2048}
 
@@ -229,17 +229,18 @@ def test_ablate_kfold_and_sweep_score_only_the_configured_scales(tiny_banks, mon
 def test_evaluate_shares_the_lesion_fallback_of_inference(tiny_banks):
     model = fresh_tiny_model()
     no_lesion = replace(tiny_banks[1], lesion_idx=np.zeros(0, dtype=np.int64))
-    _, probs, counts, _ = evaluate_strategy([no_lesion], model, "lesion", TrainConfig())
+    report = evaluate([no_lesion], model, TrainConfig())
     result = infer_bank(no_lesion, model)
-    assert result.fallback and counts == [result.patch_count]
-    np.testing.assert_array_equal(probs[0], result.probabilities)
+    assert result.fallback and report.patch_counts == [result.patch_count]
+    assert report.lesion_fallback_slides == 1 and np.isnan(report.auc_macro)  # one slide, one class
+    np.testing.assert_array_equal(report.probs[0], result.probabilities)
     all_background = replace(no_lesion, background=np.ones_like(no_lesion.background))
     with pytest.raises(EmptySlideError):
-        evaluate_strategy([all_background], model, "lesion", TrainConfig())
+        evaluate([all_background], model, TrainConfig())
 
 
 def test_sweep_validates_sizes(tiny_banks):
-    for sizes in ([8, 4], []):
+    for sizes in ([8, 4], [4, 4], []):
         with pytest.raises(InputError):
             graph_size_sweep(tiny_banks, tiny_banks, sizes, TrainConfig(), tiny_trainer(5))
 

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import msmil.pipeline as pipeline
-from msmil.evalbench import STRATEGIES, evaluate_strategy
+from msmil.evalbench import STRATEGIES, evaluate
 from msmil.pipeline import PATCH_SOURCES, TrainConfig, build_bank, cache_features, infer_bank, train_full
 from msmil.sffm import OracleMaskProvider
 from msmil.synthwsi import LesionMask
@@ -26,7 +26,7 @@ TRAIN_FULL_SHA256 = {
     "lesion_only": "6687e1b69393d62ef0b26cf0f7c656564ced127ff36cc2c31faf61c5ad57d7d5",
     "random_k": "66b985ea1b7d0eff095b8c82608f7ef21da5bc28ed2e8f22e05c81a9d0867ed4",
 }
-# SHA-256 of `evaluate_strategy`'s probabilities and patch counts, per strategy
+# SHA-256 of `evaluate`'s probabilities and patch counts, per strategy
 EVALUATE_SHA256 = {
     "all": "870fb2b7a4f740633d0e4e81d11a76e5d5ae7e141ebf29d473f4ed5b813b682c",
     "random": "555291196dc37439e00e60e897f58d5e21bc8247ea71bf174991f908ba8c0703",
@@ -67,9 +67,9 @@ def test_train_full_without_glibc_is_pinned(tiny_banks, monkeypatch):
 @pytest.mark.parametrize("strategy", STRATEGIES)
 def test_evaluate_is_pinned_at_each_strategy(tiny_banks, strategy):
     cfg = TrainConfig(seed=6, random_quotas=(9, 4, 2))
-    _, probs, counts, _ = evaluate_strategy(tiny_banks, fresh_tiny_model(seed=8), strategy, cfg, seed=7)
-    digest = hashlib.sha256(np.ascontiguousarray(probs).tobytes())
-    digest.update(repr(counts).encode())
+    report = evaluate(tiny_banks, fresh_tiny_model(seed=8), cfg, strategy, seed=7)
+    digest = hashlib.sha256(np.ascontiguousarray(report.probs).tobytes())
+    digest.update(repr(report.patch_counts).encode())
     assert digest.hexdigest() == EVALUATE_SHA256[strategy]
 
 

@@ -256,3 +256,22 @@ def test_conv_stage_backward_peak_is_set_by_the_span_not_the_batch(request):
     small, large = excess(16), excess(64)
     assert large <= 2 * engine._CONV_SPAN * 8
     assert large <= 1.1 * small
+
+
+def test_conv_stages_split_the_e2e_batch_into_even_spans(monkeypatch):
+    """At the e2e shapes (64 patches of 64², default widths) each conv stage
+    runs the fewest spans under `_CONV_SPAN`, split evenly: stages 0 and 2
+    in 8 spans of 8 patches, stage 3 in 4 of 16."""
+    seen, span_results = [], engine._span_results
+
+    def spy(fn, spans):
+        if fn.__qualname__.startswith("conv_stage."):
+            seen.append([p1 - p0 for p0, p1 in spans])
+        return span_results(fn, spans)
+
+    monkeypatch.setattr(engine, "_span_results", spy)
+    cfg = EncoderConfig()
+    side = cfg.input_side
+    enc = PatchEncoder(cfg, ParamStore(), nc.Rng(5))
+    enc.extract_batch(255.0 * nc.Rng(6).uniform(64 * side * side * 3).reshape(64, side, side, 3))
+    assert seen == [[8] * 8, [4] * 16, [8] * 8, [16] * 4]
