@@ -26,6 +26,9 @@ F`` runs the refinement alone, on the same two keys (stage2_epochs >= 1).
 ``eval`` scores the model of ``--params``; ``eval --kfold`` and ``sweep``
 train a fresh model per fold or size, so ``eval`` takes exactly one of
 ``--params`` and ``--kfold``; both score the bags of ``--strategy``.
+One seeding rule: ``eval``, ``eval --kfold`` and ``ablate`` draw the random
+quotas of ``--strategy random`` from ``train.seed``, so ``eval`` prints
+``ablate``'s random row for the same params and settings.
 ``sweep --holdout`` is the held-out share of the slides: 0 < holdout < 1,
 leaving at least one held-out slide.
 
@@ -46,13 +49,12 @@ from .evalbench import (
     InputError,
     StratificationError,
     UndefinedAucError,
-    ablation_run,
     check_sizes,
     evaluate,
     format_table,
-    graph_size_sweep,
-    kfold_run,
-    stratified_folds,
+    kfold_splits,
+    pool,
+    study,
     write_curve,
     write_report,
 )
@@ -69,7 +71,6 @@ from .pipeline import (
     build_banks,
     build_model,
     cache_features,
-    fallback_slides,
     infer_bank,
     oracle_provider,
     read_cache,
@@ -269,8 +270,8 @@ def _load_model_for(dataset, conf, params_path):
 
 
 def _trainer(enc_cfg, mil_cfg, conf):
-    """`trainer(banks, cfg) -> Model` for `kfold_run` and `graph_size_sweep`:
-    the whole training protocol on a fresh model seeded by `model.seed`."""
+    """`trainer(banks, cfg) -> Model` for `study`: the whole training
+    protocol on a fresh model seeded by `model.seed`."""
     def train(banks, cfg):
         model = build_model(enc_cfg, mil_cfg, conf["model.seed"])
         train_full(banks, model, cfg)
@@ -302,10 +303,13 @@ def cmd_eval(args) -> int:
         if args.params is not None:
             raise CliConfigError("--kfold trains a fresh model per fold and takes no --params")
         enc_cfg, mil_cfg, train_cfg = configs_from(conf, dataset.spec.classes)
+        labels = [rec.label for rec in dataset.slides]
         # refuse a --kfold the slides cannot fill before building any bank
-        stratified_folds([rec.label for rec in dataset.slides], args.kfold, train_cfg.seed)
+        splits = kfold_splits(labels, args.kfold, train_cfg.seed)
         banks = build_banks(dataset, provider, enc_cfg.input_side)
-        summary = kfold_run(banks, args.kfold, _trainer(enc_cfg, mil_cfg, conf), train_cfg, args.strategy)
+        (reports,) = study(banks, [(args.strategy, {})], splits, train_cfg,
+                           _trainer(enc_cfg, mil_cfg, conf))
+        summary = pool(reports, [labels[i] for _, test in splits for i in test])
         print(f"accuracy {summary['accuracy_mean']:.4f} +/- {summary['accuracy_sd']:.4f}  "
               f"auc {summary['auc_mean']:.4f} +/- {summary['auc_sd']:.4f}  "
               f"lesion_fallback_slides {summary['lesion_fallback_slides']}")
@@ -340,12 +344,14 @@ def cmd_ablate(args) -> int:
     provider = _provider(dataset, args.mask)
     model, enc_cfg, _, train_cfg = _load_model_for(dataset, conf, args.params)
     banks = build_banks(dataset, provider, enc_cfg.input_side)
-    result = ablation_run(banks, model, train_cfg)
+    reports = study(banks, [(s, {}) for s in STRATEGIES], [([], range(len(banks)))], train_cfg,
+                    lambda *_: model)
     headers = ["strategy", "accuracy", "auc", "mean_patches", "lesion_fallback_slides", "wall_ms"]
-    rows = [[r[h] for h in headers] for r in result["rows"]]
+    rows = [[s, r.accuracy, r.auc_macro, sum(r.patch_counts) / len(r.patch_counts), r.lesion_fallback_slides,
+             r.wall_ms] for s, (r,) in zip(STRATEGIES, reports)]
     print(format_table(headers, rows))
     if args.out:
-        entries = {"dataset": args.dataset, "params_hash": result["params_hash"]}
+        entries = {"dataset": args.dataset, "params_hash": model.store.content_hash()}
         entries.update(echo_config(conf))
         write_report(Path(args.out), entries, (headers, rows))
     return 0
@@ -361,12 +367,12 @@ def cmd_sweep(args) -> int:
     provider = _provider(dataset, args.mask)
     enc_cfg, mil_cfg, train_cfg = configs_from(conf, dataset.spec.classes)
     banks = build_banks(dataset, provider, enc_cfg.input_side)
-    train_banks, test_banks = banks[:split], banks[split:]
-    curve = graph_size_sweep(train_banks, test_banks, sizes, train_cfg,
-                             _trainer(enc_cfg, mil_cfg, conf))
+    reports = study(banks, [("lesion", {"instances_per_graph": size}) for size in sizes],
+                    [(range(split), range(split, len(banks)))], train_cfg, _trainer(enc_cfg, mil_cfg, conf))
+    curve = [(size, r.accuracy) for size, (r,) in zip(sizes, reports)]
     for b, acc in curve:
         print(f"{b} {acc:.4f}")
-    print(f"lesion_fallback_slides {fallback_slides(test_banks, 'lesion_only', train_cfg.scales)}")
+    print(f"lesion_fallback_slides {reports[0][0].lesion_fallback_slides}")
     if args.out:
         write_curve(Path(args.out), curve)
     return 0

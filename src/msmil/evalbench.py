@@ -1,6 +1,9 @@
-"""Metrics, cross-validation protocol, strategy ablation, and the
-instances-in-graph sweep. `evaluate` is the one scorer of a model on banks:
-k-fold, ablation and sweep read its `EvalReport`.
+"""Metrics, the one scorer and the one study runner. `evaluate` scores a
+model on banks; `study` trains and scores rows (a strategy plus `TrainConfig`
+overrides) over (train, test) splits, so `eval --kfold` (folds from
+`kfold_splits`, pooled by `pool`), `ablate` (fixed params, one row per
+strategy) and `sweep` (one row per graph size) are row lists over it. Random
+quotas are drawn from `TrainConfig.seed` wherever a model is scored.
 
 Multi-class AUC is macro one-vs-rest computed from the rank statistic with
 midranks for ties; it equals exhaustive pair counting (tested both ways).
@@ -95,15 +98,15 @@ STRATEGIES = tuple(STRATEGY_SOURCES)
 
 
 def evaluate(banks: list[SlideBank], model: Model, cfg: TrainConfig,
-             strategy: str = "lesion", seed: int = 0) -> EvalReport:
+             strategy: str = "lesion") -> EvalReport:
     """Run `model` over each bank's bag under `strategy` and score the
     predictions against the banks' labels. Each slide's bag is the whole
     `select_batch` pool (the grid size as the batch) at `cfg.scales`; random
-    picks follow `cfg.random_quotas`, seeded by `seed`."""
+    picks follow `cfg.random_quotas`, seeded by `cfg.seed`."""
     source = STRATEGY_SOURCES[strategy]
     t0 = time.perf_counter()
     probs, counts = [], []
-    rng = nc.Rng(seed)
+    rng = nc.Rng(cfg.seed)
     for pos, bank in enumerate(banks):
         idx = select_batch(bank, source, len(bank.refs), rng.child(pos), cfg.scales, cfg.random_quotas)
         probs.append(model.mil.forward(bag_from_bank(bank, idx, model)).data[0])
@@ -122,7 +125,7 @@ def evaluate(banks: list[SlideBank], model: Model, cfg: TrainConfig,
                       fallback_slides(banks, source, cfg.scales))
 
 
-# ------------------------------------------------------------------ k-fold
+# ------------------------------------------------------------------ study
 
 
 def stratified_folds(labels, k: int, seed: int) -> list[list[int]]:
@@ -148,64 +151,56 @@ def stratified_folds(labels, k: int, seed: int) -> list[list[int]]:
     return [sorted(f) for f in folds]
 
 
-def kfold_run(banks: list[SlideBank], k: int, trainer, cfg: TrainConfig,
-              strategy: str = "lesion") -> dict:
-    """Train per fold via `trainer(train_banks, cfg) -> Model`, `evaluate`
-    each test fold under `strategy`, and pool the reports' metrics and
-    fallback counts. A NaN fold AUC switches to the pooled AUC with a flag;
-    a training split missing a class is a stratification error."""
-    labels = [b.label for b in banks]
-    folds = stratified_folds(labels, k, cfg.seed)
-    reports = []
-    for fold_idx, test_idx in enumerate(folds):
-        train_banks = [b for i, b in enumerate(banks) if i not in test_idx]
-        if {b.label for b in train_banks} != set(labels):
+def kfold_splits(labels, k: int, seed: int) -> list[tuple[list[int], list[int]]]:
+    """`stratified_folds` as (train, test) index splits; a training split
+    missing a class is a StratificationError."""
+    labels = list(labels)
+    splits = []
+    for fold_idx, test in enumerate(stratified_folds(labels, k, seed)):
+        train = [i for i in range(len(labels)) if i not in test]
+        if {labels[i] for i in train} != set(labels):
             raise StratificationError(f"fold {fold_idx}: training split is missing a class")
-        reports.append(evaluate([banks[i] for i in test_idx], trainer(train_banks, cfg), cfg, strategy))
+        splits.append((train, test))
+    return splits
+
+
+def study(banks: list[SlideBank], rows, splits, cfg: TrainConfig, trainer) -> list[list[EvalReport]]:
+    """Each row is a `(strategy, overrides)` pair: `cfg` with the row's
+    `TrainConfig` overrides is trained per `(train, test)` split of bank
+    indices by `trainer(train_banks, row_cfg) -> Model`, and the test banks
+    are scored by `evaluate` under the row's strategy. Returns each row's
+    reports, one per split."""
+    out = []
+    for strategy, overrides in rows:
+        row_cfg = replace(cfg, **overrides)
+        out.append([evaluate([banks[i] for i in test],
+                             trainer([banks[i] for i in train], row_cfg), row_cfg, strategy)
+                    for train, test in splits])
+    return out
+
+
+def pool(reports: list[EvalReport], labels) -> dict:
+    """Fold means and SDs of the reports' metrics and their summed fallback
+    count; `labels` are the reports' slides' labels, in order. A NaN fold
+    AUC switches to the pooled AUC with a flag."""
     fold_acc = [r.accuracy for r in reports]
     fold_auc = [r.auc_macro for r in reports]
     pooled_flag = bool(np.isnan(fold_auc).any())
     out = {
-        "k": k,
+        "k": len(reports),
         "accuracy_mean": float(np.mean(fold_acc)),
         "accuracy_sd": float(np.std(fold_acc)),
-        "fold_sizes": [len(f) for f in folds],
+        "fold_sizes": [len(r.preds) for r in reports],
         "pooled_auc_fallback": pooled_flag,
         "lesion_fallback_slides": sum(r.lesion_fallback_slides for r in reports),
     }
     if pooled_flag:
-        pooled_labels = [labels[i] for f in folds for i in f]
-        out["auc_mean"], _ = auc_macro_ovr(np.concatenate([r.probs for r in reports]), pooled_labels)
+        out["auc_mean"], _ = auc_macro_ovr(np.concatenate([r.probs for r in reports]), labels)
         out["auc_sd"] = float("nan")
     else:
         out["auc_mean"] = float(np.mean(fold_auc))
         out["auc_sd"] = float(np.std(fold_auc))
     return out
-
-
-# ---------------------------------------------------------------- ablation
-
-
-def ablation_run(banks: list[SlideBank], model: Model, cfg: TrainConfig) -> dict:
-    """Evaluate the same trained parameters under each patch-selection
-    strategy, seeded by `cfg.seed`; returns rows plus the parameter hash used
-    for all of them."""
-    rows = []
-    for strategy in STRATEGIES:
-        report = evaluate(banks, model, cfg, strategy, cfg.seed)
-        rows.append({
-            "strategy": strategy,
-            "accuracy": report.accuracy,
-            "auc": report.auc_macro,
-            "mean_patches": float(np.mean(report.patch_counts)),
-            "patch_counts": report.patch_counts,
-            "lesion_fallback_slides": report.lesion_fallback_slides,
-            "wall_ms": report.wall_ms,
-        })
-    return {"rows": rows, "params_hash": model.store.content_hash()}
-
-
-# ------------------------------------------------------------------- sweep
 
 
 def check_sizes(sizes) -> list[int]:
@@ -214,20 +209,6 @@ def check_sizes(sizes) -> list[int]:
     if not sizes or sizes[0] < 1 or any(a >= b for a, b in zip(sizes, sizes[1:])):
         raise InputError(f"sizes must be non-empty, ascending and >= 1, got {sizes}")
     return sizes
-
-
-def graph_size_sweep(train_banks: list[SlideBank], test_banks: list[SlideBank],
-                     sizes, base_cfg: TrainConfig, trainer) -> list[tuple[int, float]]:
-    """One independent training per graph size via `trainer(train_banks, cfg)
-    -> Model`, the interface `kfold_run` uses; accuracy measured on the
-    held-out banks."""
-    curve = []
-    for size in check_sizes(sizes):
-        cfg = replace(base_cfg, instances_per_graph=size)
-        model = trainer(train_banks, cfg)
-        report = evaluate(test_banks, model, cfg)
-        curve.append((size, report.accuracy))
-    return curve
 
 
 # ----------------------------------------------------------------- reports

@@ -628,7 +628,8 @@ def test_ablate_emits_three_row_table(cli_dataset, cli_trained, tmp_path, capsys
     lines = [l for l in capsys.readouterr().out.splitlines() if l.strip()]
     assert lines[0].split()[0] == "strategy"
     assert [l.split()[0] for l in lines[1:4]] == ["all", "random", "lesion"]
-    assert "params_hash=" in report.read_text()
+    entries = dict(line.split("=", 1) for line in report.read_text().splitlines() if "=" in line)
+    assert len(entries["params_hash"]) == 64
 
 
 def test_eval_and_ablate_count_the_blank_mask_fallback(blank_mask_dataset, cli_trained, tmp_path, capsys):
@@ -645,6 +646,25 @@ def test_eval_and_ablate_count_the_blank_mask_fallback(blank_mask_dataset, cli_t
     header, *rows = [line.split() for line in capsys.readouterr().out.splitlines() if line.strip()]
     col = header.index("lesion_fallback_slides")
     assert {row[0]: row[col] for row in rows} == {"all": "0", "random": "0", "lesion": "1"}
+
+
+def test_eval_and_ablate_draw_the_same_random_quotas(tmp_path, capsys):
+    """Random quotas are drawn from train.seed wherever a model is scored, so
+    `eval --strategy random` prints `ablate`'s random row at any seed."""
+    root = tmp_path / "ds"
+    assert main(["generate", "--out", str(root), "--slides", "4", "--classes", "2",
+                 "--width", "2048", "--height", "2048", "--seed", "3"]) == 0
+    assert main(["train", "--dataset", str(root), "--out", str(tmp_path / "run"), "--seed", "55",
+                 *TINY_SETS]) == 0
+    args = ["--dataset", str(root), "--params", str(tmp_path / "run" / "params.msmp"), *TINY_SETS,
+            "--set", "train.random_quotas=3,2,1", "--set", "train.seed=5"]
+    capsys.readouterr()
+    assert main(["eval", *args, "--strategy", "random"]) == 0
+    tokens = capsys.readouterr().out.split()
+    assert main(["ablate", *args]) == 0
+    rows = {row[0]: row for row in (line.split() for line in capsys.readouterr().out.splitlines())}
+    assert (tokens[0], tokens[2]) == ("accuracy", "auc")
+    assert (tokens[1], tokens[3]) == (rows["random"][1], rows["random"][2])
 
 
 @pytest.fixture(scope="module")

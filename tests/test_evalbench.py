@@ -6,18 +6,20 @@ import pytest
 import msmil.evalbench as evalbench
 import msmil.numcore as nc
 from msmil.evalbench import (
+    STRATEGIES,
     InputError,
     StratificationError,
     UndefinedAucError,
-    ablation_run,
     accuracy,
     auc_macro_ovr,
     binary_auc,
+    check_sizes,
     evaluate,
     format_table,
-    graph_size_sweep,
-    kfold_run,
+    kfold_splits,
+    pool,
     stratified_folds,
+    study,
     write_curve,
     write_report,
 )
@@ -34,6 +36,29 @@ def tiny_trainer(seed):
         train_full(banks, model, cfg)
         return model
     return train
+
+
+def kfold(banks, k, trainer, cfg, strategy="lesion"):
+    """`msmil eval --kfold`'s study: one row over `kfold_splits`, pooled."""
+    labels = [b.label for b in banks]
+    splits = kfold_splits(labels, k, cfg.seed)
+    (reports,) = study(banks, [(strategy, {})], splits, cfg, trainer)
+    return pool(reports, [labels[i] for _, test in splits for i in test])
+
+
+def ablate(banks, model, cfg):
+    """`msmil ablate`'s study: the same params under each strategy, on every
+    bank; one report per strategy."""
+    reports = study(banks, [(s, {}) for s in STRATEGIES], [([], range(len(banks)))], cfg, lambda *_: model)
+    return {s: r for s, (r,) in zip(STRATEGIES, reports)}
+
+
+def sweep(train_banks, test_banks, sizes, cfg, trainer):
+    """`msmil sweep`'s study: one row per graph size, one held-out split."""
+    banks = train_banks + test_banks
+    split = (range(len(train_banks)), range(len(train_banks), len(banks)))
+    reports = study(banks, [("lesion", {"instances_per_graph": s}) for s in sizes], [split], cfg, trainer)
+    return [(s, r.accuracy) for s, (r,) in zip(sizes, reports)]
 
 
 def pair_count_auc(scores, positive):
@@ -148,10 +173,10 @@ def test_kfold_with_stub_trainer(tiny_banks):
         calls.append(len(train_banks))
         return model
 
-    out = kfold_run(banks, k=2, trainer=stub_trainer, cfg=cfg)
+    out = kfold(banks, k=2, trainer=stub_trainer, cfg=cfg)
     assert out["k"] == 2 and out["fold_sizes"] == [4, 4]
     assert calls == [4, 4]
-    out2 = kfold_run(banks, k=2, trainer=stub_trainer, cfg=cfg)
+    out2 = kfold(banks, k=2, trainer=stub_trainer, cfg=cfg)
     assert out["accuracy_mean"] == out2["accuracy_mean"]
     assert out["auc_mean"] == out2["auc_mean"]
 
@@ -164,7 +189,7 @@ def test_kfold_leave_one_out_pools_auc(tiny_banks):
         return model
 
     banks = tiny_banks * 2
-    out = kfold_run(banks, k=len(banks), trainer=stub_trainer, cfg=TrainConfig(seed=5))
+    out = kfold(banks, k=len(banks), trainer=stub_trainer, cfg=TrainConfig(seed=5))
     assert out["pooled_auc_fallback"] is True
     assert np.isfinite(out["auc_mean"])
 
@@ -177,7 +202,31 @@ def test_kfold_stratification_error_when_class_unlearnable(tiny_banks):
         raise AssertionError("should fail before training")
 
     with pytest.raises(StratificationError):
-        kfold_run(banks, k=4, trainer=stub_trainer, cfg=TrainConfig(seed=5))
+        kfold(banks, k=4, trainer=stub_trainer, cfg=TrainConfig(seed=5))
+
+
+def test_study_trains_each_row_on_each_split_with_its_overrides(tiny_banks):
+    """One trainer call per (row, split), rows outermost; a row's overrides
+    reach both the trainer's cfg and `evaluate`, and leave `cfg` as it was."""
+    model = fresh_tiny_model(seed=3)
+    cfg = TrainConfig(seed=5)
+    calls = []
+
+    def stub_trainer(train_banks, row_cfg):
+        calls.append((row_cfg.instances_per_graph, row_cfg.seed, [b.ident for b in train_banks]))
+        return model
+
+    rows = [("lesion", {"instances_per_graph": 1}),
+            ("random", {"instances_per_graph": 4, "seed": 9, "random_quotas": (10, 5, 2)})]
+    splits = [([0, 1], [2, 3]), ([2, 3], [0, 1])]
+    reports = study(tiny_banks, rows, splits, cfg, stub_trainer)
+    ids = [b.ident for b in tiny_banks]
+    assert calls == [(1, 5, ids[:2]), (1, 5, ids[2:]), (4, 9, ids[:2]), (4, 9, ids[2:])]
+    assert [len(r) for r in reports] == [2, 2]
+    assert reports[1][0].patch_counts == [17, 17]
+    expected = evaluate(tiny_banks[2:], model, replace(cfg, seed=9, random_quotas=(10, 5, 2)), "random")
+    np.testing.assert_array_equal(reports[1][0].probs, expected.probs)
+    assert cfg == TrainConfig(seed=5)
 
 
 # ---------------------------------------------------------------- ablation
@@ -185,18 +234,15 @@ def test_kfold_stratification_error_when_class_unlearnable(tiny_banks):
 
 def test_ablation_lesion_subset_of_all(tiny_banks):
     model = fresh_tiny_model(seed=7)
-    out = ablation_run(tiny_banks, model, TrainConfig(seed=11))
-    rows = {r["strategy"]: r for r in out["rows"]}
+    rows = ablate(tiny_banks, model, TrainConfig(seed=11))
     for i in range(len(tiny_banks)):
-        assert rows["lesion"]["patch_counts"][i] < rows["all"]["patch_counts"][i]
-    assert len(out["params_hash"]) == 64
+        assert rows["lesion"].patch_counts[i] < rows["all"].patch_counts[i]
 
 
 def test_ablation_random_quotas_honored(tiny_banks):
     model = fresh_tiny_model(seed=7)
-    out = ablation_run(tiny_banks, model, TrainConfig(seed=11, random_quotas=(10, 5, 2)))
-    rows = {r["strategy"]: r for r in out["rows"]}
-    assert all(c == 17 for c in rows["random"]["patch_counts"])
+    rows = ablate(tiny_banks, model, TrainConfig(seed=11, random_quotas=(10, 5, 2)))
+    assert all(c == 17 for c in rows["random"].patch_counts)
 
 
 def test_evaluate_confusion_sums(tiny_banks):
@@ -216,10 +262,10 @@ def test_ablate_kfold_and_sweep_score_only_the_configured_scales(tiny_banks, mon
     monkeypatch.setattr(evalbench, "bag_from_bank", recording)
     model = fresh_tiny_model(seed=7)
     cfg = TrainConfig(instances_per_graph=2, lr=0.0, epochs=1, seed=11, scales=(2048,))
-    ablation_run(tiny_banks, model, cfg)
+    ablate(tiny_banks, model, cfg)
     for strategy in ("lesion", "all"):
-        kfold_run(tiny_banks * 2, k=2, trainer=lambda banks, _cfg: model, cfg=cfg, strategy=strategy)
-    graph_size_sweep(tiny_banks, tiny_banks, [2], cfg, tiny_trainer(7))
+        kfold(tiny_banks * 2, k=2, trainer=lambda banks, _cfg: model, cfg=cfg, strategy=strategy)
+    sweep(tiny_banks, tiny_banks, [2], cfg, tiny_trainer(7))
     assert seen == {2048}
 
 
@@ -242,15 +288,15 @@ def test_evaluate_shares_the_lesion_fallback_of_inference(tiny_banks):
 def test_sweep_validates_sizes(tiny_banks):
     for sizes in ([8, 4], [4, 4], []):
         with pytest.raises(InputError):
-            graph_size_sweep(tiny_banks, tiny_banks, sizes, TrainConfig(), tiny_trainer(5))
+            check_sizes(sizes)
 
 
 def test_sweep_runs_independent_trainings(tiny_banks):
     cfg = TrainConfig(instances_per_graph=4, lr=0.02, epochs=1, seed=31, patch_source="lesion_only")
-    curve = graph_size_sweep(tiny_banks, tiny_banks, [1, 4], cfg, tiny_trainer(33))
+    curve = sweep(tiny_banks, tiny_banks, [1, 4], cfg, tiny_trainer(33))
     assert [b for b, _ in curve] == [1, 4]
     assert all(0.0 <= acc <= 1.0 for _, acc in curve)
-    curve2 = graph_size_sweep(tiny_banks, tiny_banks, [1, 4], cfg, tiny_trainer(33))
+    curve2 = sweep(tiny_banks, tiny_banks, [1, 4], cfg, tiny_trainer(33))
     assert curve == curve2
 
 
