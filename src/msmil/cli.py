@@ -26,9 +26,11 @@ F`` runs the refinement alone, on the same two keys (stage2_epochs >= 1).
 ``eval`` scores the model of ``--params``; ``eval --kfold`` and ``sweep``
 train a fresh model per fold or size, so ``eval`` takes exactly one of
 ``--params`` and ``--kfold``; both score the bags of ``--strategy``.
-One seeding rule: ``eval``, ``eval --kfold`` and ``ablate`` draw the random
-quotas of ``--strategy random`` from ``train.seed``, so ``eval`` prints
-``ablate``'s random row for the same params and settings.
+One seeding rule: ``train.seed`` is set only by the config file or ``--set``
+(``generate --seed`` is the dataset seed). It seeds every training run, and
+``eval``, ``eval --kfold`` and ``ablate`` draw the random quotas of
+``--strategy random`` from it, so ``eval`` prints ``ablate``'s random row
+for the same params and settings.
 ``sweep --holdout`` is the held-out share of the slides: 0 < holdout < 1,
 leaving at least one held-out slide.
 
@@ -223,8 +225,6 @@ def cmd_filter(args) -> int:
 
 def cmd_train(args) -> int:
     conf = load_run_config(args.config, args.set)
-    if args.seed is not None:
-        conf["train.seed"] = args.seed
     dataset = _load_dataset(args.dataset)
     classes = dataset.spec.classes
     if args.stage == "mil_only" and not args.cache:
@@ -417,7 +417,6 @@ def _build_parser() -> _Parser:
     trn.add_argument("--out", required=True)
     trn.add_argument("--cache", default=None)
     trn.add_argument("--init-params", default=None, dest="init_params")
-    trn.add_argument("--seed", type=int, default=None)
     trn.set_defaults(func=cmd_train)
 
     inf = sub.add_parser("infer", help="classify one slide")

@@ -58,6 +58,13 @@ class EncoderConfig:
     def __post_init__(self):
         if not self.widths:
             raise ConfigError("need at least one conv stage")
+        # each conv stage normalizes over its channels, IAAM over token_dim
+        if min(self.widths) < 2:
+            raise ConfigError(f"enc.widths must be >= 2 each, got {','.join(map(str, self.widths))}")
+        if self.token_dim < 2:
+            raise ConfigError(f"enc.token_dim must be >= 2, got {self.token_dim}")
+        if self.heads < 1:
+            raise ConfigError(f"enc.heads must be >= 1, got {self.heads}")
         check_patch_side(self.input_side)
         if self.input_side % (CONV_STRIDE ** len(self.widths)):
             raise ConfigError(
@@ -66,8 +73,8 @@ class EncoderConfig:
             )
         if self.feature_channels % self.heads:
             raise ConfigError(f"channels {self.feature_channels} not divisible by {self.heads} heads")
-        if self.depth < 0 or self.token_dim < 1:
-            raise ConfigError("bad depth or token_dim")
+        if self.depth < 0:
+            raise ConfigError(f"enc.depth must be >= 0, got {self.depth}")
 
     @property
     def feature_side(self) -> int:
@@ -177,12 +184,12 @@ class PatchEncoder:
     def extract_batch(self, patches: np.ndarray) -> nc.Tensor:
         """(batch, S, S, 3) patches -> (batch, token_dim) features.
 
-        Pixel values are scaled to [0, 1]; parameters are shared across
-        scale codes, so the output depends on pixels alone.
+        Pixels of any dtype are scaled to [0, 1] in float64; parameters are
+        shared across scale codes, so the output depends on pixels alone.
         """
         batch, side = patches.shape[0], patches.shape[1]
         if side != self.cfg.input_side:
             raise ConfigError(f"expected patch side {self.cfg.input_side}, got {side}")
-        x = nc.tensor(patches.reshape(batch * side * side, 3) / 255.0)
+        x = nc.tensor(np.divide(patches.reshape(-1, 3), 255.0, dtype=np.float64))
         feats = self.conv_trunk(x, batch)
         return self.summarize(feats, batch)

@@ -366,15 +366,13 @@ def _check_norm_cols(cols: int, op: str) -> None:
         raise ShapeError(f"{op} needs >= 2 columns, got row length {cols}")
 
 
-def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = _NORM_EPS) -> Tensor:
+def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Per-row standardization followed by elementwise affine."""
     ad = a.data
     _check_norm_cols(ad.shape[-1], "layer_norm")
-    if eps <= 0:
-        raise ValueError("layer_norm eps must be positive")
     # the affine in place; xhat is recomputed in the vjp from the kept input
     # instead of held on the tape
-    y, mean, inv = _standardize(ad, eps)
+    y, mean, inv = _standardize(ad, _NORM_EPS)
     y *= gain.data
     y += bias.data
     out = Tensor(y)

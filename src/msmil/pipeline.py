@@ -241,7 +241,7 @@ def bag_from_bank(bank: SlideBank, idx: np.ndarray, model: Model) -> Bag:
     refs = [bank.refs[i] for i in idx]
     coords = np.asarray([(r.x, r.y) for r in refs], dtype=np.int64)
     scales = np.asarray([r.scale_code for r in refs], dtype=np.int64)
-    features = model.encoder.extract_batch(bank.patches[idx].astype(np.float64))
+    features = model.encoder.extract_batch(bank.patches[idx])
     return Bag(features, coords, scales, bank.width, bank.height, label=bank.label)
 
 
@@ -385,7 +385,7 @@ def cache_features(banks: list[SlideBank], model: Model,
     sidecar = []
     for bank in sorted(banks, key=lambda b: b.ident):
         idx, _ = bank.usable_idx("lesion_only", scales)
-        feats = model.encoder.extract_batch(bank.patches[idx].astype(np.float64))
+        feats = model.encoder.extract_batch(bank.patches[idx])
         with np.errstate(over="ignore"):
             rows.append(feats.data.astype(np.float32))
         if not np.isfinite(rows[-1]).all():

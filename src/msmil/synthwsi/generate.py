@@ -3,10 +3,10 @@
 Each slide is stroma noise plus one lesion blob. Class identity is written
 into the blob twice, at two deliberately disjoint scales:
 
-* micro texture: a +/-1 pattern with period `micro_period` (default 32 px).
+* micro texture: a +/-`MICRO_AMP` pattern of period `MICRO_PERIOD` (32 px).
   It survives the 8x patch resize of 512 px crops but averages to exactly
   zero under the 32x resize of 2048 px crops, so it is invisible at 5x.
-* macro bands: +/-1 intensity cells of side `macro_cell` (default 1024 px),
+* macro bands: +/-`MACRO_AMP` intensity cells of side `MACRO_CELL` (1024 px),
   axis-aligned with every crop grid. A 512 or 1024 px crop sits inside a
   single cell and sees only an uninformative constant offset (cell phase is
   randomized per slide); a 2048 px crop spans several cells and reads the
@@ -17,7 +17,8 @@ orientation, while 2 and 3 share the (flat) macro pattern and differ only
 in micro texture. A classifier restricted to one crop size therefore has
 one indistinguishable class pair, capping its accuracy at (C-1)/C; both
 cues together separate everything. The caps are recorded in the dataset
-manifest. Stroma carries no class information at any scale.
+manifest. Stroma carries no class information at any scale. Every channel
+of every pixel gets integer noise in [-`NOISE`, `NOISE`].
 """
 
 from __future__ import annotations
@@ -51,6 +52,15 @@ _CLASS_TRAITS = (
 _STROMA = (205, 185, 198)
 _LESION = (168, 146, 168)
 
+# The planted signal. MICRO_PERIOD divides 32, the box factor of a 2048 px
+# crop, so the 5x resize erases the texture exactly; MACRO_CELL is a crop
+# side (512, 1024 or 2048), so macro cells stay aligned with the crop grid.
+NOISE = 6
+MICRO_PERIOD = 32
+MICRO_AMP = 22
+MACRO_CELL = 1024
+MACRO_AMP = 12
+
 
 @dataclass(frozen=True)
 class SynthSpec:
@@ -62,21 +72,12 @@ class SynthSpec:
     width: int = 4096
     height: int = 4096
     lesion_fraction: float = 0.3
-    noise: int = 6
-    micro_period: int = 32
-    micro_amp: int = 22
-    macro_cell: int = 1024
-    macro_amp: int = 12
 
     def __post_init__(self):
         if not 2 <= self.classes <= len(_CLASS_TRAITS):
             raise SpecError(f"separability construction defined for 2..4 classes, got {self.classes}")
         if not 0.1 <= self.lesion_fraction <= 0.5:
             raise SpecError(f"lesion_fraction {self.lesion_fraction} outside [0.1, 0.5]")
-        if self.micro_period not in (16, 32) or 32 % self.micro_period:
-            raise SpecError("micro_period must be 16 or 32 so the 5x resize erases it exactly")
-        if self.macro_cell not in (512, 1024, 2048):
-            raise SpecError("macro_cell must align with the crop grid (512, 1024 or 2048)")
         if not (is_slide_side(self.width) and is_slide_side(self.height)):
             raise SpecError(f"slide sides must be 1024 * 2**k px so that macro cells and 32 px lesion "
                             f"blocks stay aligned with every crop, got {self.width}x{self.height}")
@@ -145,9 +146,9 @@ def generate_mask(spec: SynthSpec, seed: int) -> LesionMask:
     return LesionMask(_footprint(spec, Rng(seed).child(1)))
 
 
-def _sign_pattern(kind: str, spec: SynthSpec, h: int, w: int, phase_y: int, phase_x: int):
+def _sign_pattern(kind: str, h: int, w: int, phase_y: int, phase_x: int):
     """+/-1 field (broadcastable) for one texture or band kind."""
-    half = spec.micro_period // 2
+    half = MICRO_PERIOD // 2
     col = np.arange(w, dtype=np.int32)[None, :]
     row = np.arange(h, dtype=np.int32)[:, None]
     if kind == "vstripe":
@@ -159,9 +160,9 @@ def _sign_pattern(kind: str, spec: SynthSpec, h: int, w: int, phase_y: int, phas
         cy = ((row // half) & 1).astype(np.int16)
         return 1 - 2 * (cx ^ cy)
     if kind == "hband":
-        return (1 - 2 * ((row // spec.macro_cell + phase_y) & 1)).astype(np.int16)
+        return (1 - 2 * ((row // MACRO_CELL + phase_y) & 1)).astype(np.int16)
     if kind == "vband":
-        return (1 - 2 * ((col // spec.macro_cell + phase_x) & 1)).astype(np.int16)
+        return (1 - 2 * ((col // MACRO_CELL + phase_x) & 1)).astype(np.int16)
     if kind == "flat":
         return np.zeros((1, 1), dtype=np.int16)
     raise ValueError(kind)
@@ -186,19 +187,19 @@ def generate_wsi(spec: SynthSpec, label: int, seed: int) -> tuple[PyramidImage, 
     foot = mask.red[fy[:, None], fx[None, :]]
 
     micro_kind, macro_kind = spec.traits(label)
-    micro = _sign_pattern(micro_kind, spec, h, w, phase_y, phase_x)
-    macro = _sign_pattern(macro_kind, spec, h, w, phase_y, phase_x)
-    lesion_signal = spec.micro_amp * micro + spec.macro_amp * macro
+    micro = _sign_pattern(micro_kind, h, w, phase_y, phase_x)
+    macro = _sign_pattern(macro_kind, h, w, phase_y, phase_x)
+    lesion_signal = MICRO_AMP * micro + MACRO_AMP * macro
 
     img = np.empty((h, w, 3), dtype=np.uint8)
-    n_levels = np.uint64(2 * spec.noise + 1)
+    n_levels = np.uint64(2 * NOISE + 1)
     # one u64 per pixel; independent 21-bit fields give the three channel noises
     bits = noise_stream.u64(h * w)
     field_mask = np.uint64(0x1FFFFF)
     for c in range(3):
         sub = (bits >> np.uint64(21 * c)) & field_mask
         noise = (sub % n_levels).astype(np.int16).reshape(h, w)
-        noise -= spec.noise
+        noise -= NOISE
         chan = np.where(foot, _LESION[c] + lesion_signal, np.int16(_STROMA[c]))
         img[:, :, c] = np.clip(chan + noise, 0, 255).astype(np.uint8)
     return PyramidImage(img), mask
@@ -306,11 +307,6 @@ def write_dataset(root: Path, spec: SynthSpec, n_slides: int, seed: int) -> Data
         "width": spec.width,
         "height": spec.height,
         "lesion_fraction": spec.lesion_fraction,
-        "noise": spec.noise,
-        "micro_period": spec.micro_period,
-        "micro_amp": spec.micro_amp,
-        "macro_cell": spec.macro_cell,
-        "macro_amp": spec.macro_amp,
         "cap_512": caps[512],
         "cap_1024": caps[1024],
         "cap_2048": caps[2048],
@@ -328,11 +324,6 @@ def load_dataset(root: Path) -> Dataset:
         width=int(man["width"]),
         height=int(man["height"]),
         lesion_fraction=float(man["lesion_fraction"]),
-        noise=int(man["noise"]),
-        micro_period=int(man["micro_period"]),
-        micro_amp=int(man["micro_amp"]),
-        macro_cell=int(man["macro_cell"]),
-        macro_amp=int(man["macro_amp"]),
     )
     slides = []
     for i in range(int(man["slides"])):

@@ -143,7 +143,7 @@ def test_train_eta_zero_keeps_init_params(cli_dataset, tmp_path, capsys):
 def test_train_stage_chaining_and_manifest(cli_dataset, tmp_path, capsys):
     run1 = tmp_path / "run1"
     rc = main(["train", "--dataset", str(cli_dataset), "--out", str(run1),
-               "--seed", "11", *TINY_SETS])
+               "--set", "train.seed=11", *TINY_SETS])
     assert rc == 0
     assert (run1 / "features.msml").exists() and (run1 / "features.msml.sidecar").exists()
     manifest = read_manifest(run1 / "manifest.txt")
@@ -154,7 +154,7 @@ def test_train_stage_chaining_and_manifest(cli_dataset, tmp_path, capsys):
     run2 = tmp_path / "run2"
     rc = main(["train", "--dataset", str(cli_dataset), "--out", str(run2),
                "--stage", "mil_only", "--cache", str(run1 / "features.msml"),
-               "--init-params", str(run1 / "params.msmp"), "--seed", "11", *TINY_SETS,
+               "--init-params", str(run1 / "params.msmp"), "--set", "train.seed=11", *TINY_SETS,
                "--set", "train.stage2_epochs=1"])
     assert rc == 0
     m2 = read_manifest(run2 / "manifest.txt")
@@ -172,7 +172,7 @@ def test_train_seeded_rerun_matches_loss_trace(cli_dataset, tmp_path):
     for tag in ("a", "b"):
         out = tmp_path / tag
         rc = main(["train", "--dataset", str(cli_dataset), "--out", str(out),
-                   "--seed", "21", *TINY_SETS])
+                   "--set", "train.seed=21", *TINY_SETS])
         assert rc == 0
         outs.append(out)
     man_a = read_manifest(outs[0] / "manifest.txt")
@@ -207,7 +207,7 @@ def test_train_runs_the_whole_protocol_like_the_library(cli_dataset, tmp_path):
     moves only the attention network, and its manifest entries carry the
     `stage2.` prefix."""
     out = tmp_path / "full"
-    rc = main(["train", "--dataset", str(cli_dataset), "--out", str(out), "--seed", "11",
+    rc = main(["train", "--dataset", str(cli_dataset), "--out", str(out), "--set", "train.seed=11",
                *TINY_SETS, "--set", "train.stage2_epochs=2"])
     assert rc == 0
     dataset = load_dataset(cli_dataset)
@@ -250,7 +250,7 @@ def test_train_encodes_the_cache_once(cli_dataset, tmp_path, monkeypatch, stage2
     monkeypatch.setattr(msmil.pipeline, "cache_features", counting)
     monkeypatch.setattr(msmil.cli, "cache_features", counting)
     out = tmp_path / "run"
-    rc = main(["train", "--dataset", str(cli_dataset), "--out", str(out), "--seed", "11",
+    rc = main(["train", "--dataset", str(cli_dataset), "--out", str(out), "--set", "train.seed=11",
                *TINY_SETS, "--set", f"train.stage2_epochs={stage2_epochs}"])
     assert rc == 0 and len(calls) == 1
     monkeypatch.undo()
@@ -427,6 +427,28 @@ def test_train_config_bad_number_exit_5(cli_dataset, tmp_path, capsys, setting):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("settings", [["enc.heads=0"], ["enc.heads=-2"], ["enc.widths=8,1,16"],
+                                      ["enc.token_dim=1", "mil.rank=1"]],
+                         ids=["heads_0", "heads_-2", "width_1", "token_dim_1"])
+def test_encoder_the_model_cannot_run_exit_5(cli_dataset, tmp_path, capsys, monkeypatch, settings):
+    import msmil.cli
+
+    def no_banks(*args, **kwargs):
+        raise AssertionError("build_banks ran before the refusal")
+
+    monkeypatch.setattr(msmil.cli, "build_banks", no_banks)
+    out = tmp_path / "run"
+    capsys.readouterr()
+    rc = main(["train", "--dataset", str(cli_dataset), "--out", str(out), *TINY_SETS,
+               *[arg for setting in settings for arg in ("--set", setting)]])
+    assert rc == 5
+    captured = capsys.readouterr()
+    key = settings[0].split("=")[0]
+    assert captured.out == "" and captured.err.startswith(f"config error: {key} must be ")
+    assert _one_line(captured.err)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, message", [
     (["eval", "--kfold", "-2"], "k-fold needs k >= 2 folds, got k=-2"),
     (["eval", "--kfold", "0"], "k-fold needs k >= 2 folds, got k=0"),
@@ -519,7 +541,7 @@ def test_input_side_not_dividing_512_exit_5(cli_dataset, tmp_path, capsys, side)
 def cli_trained(cli_dataset, tmp_path_factory):
     out = tmp_path_factory.mktemp("trained") / "run"
     rc = main(["train", "--dataset", str(cli_dataset), "--out", str(out),
-               "--seed", "55", *TINY_SETS])
+               "--set", "train.seed=55", *TINY_SETS])
     assert rc == 0
     return out
 
@@ -654,7 +676,7 @@ def test_eval_and_ablate_draw_the_same_random_quotas(tmp_path, capsys):
     root = tmp_path / "ds"
     assert main(["generate", "--out", str(root), "--slides", "4", "--classes", "2",
                  "--width", "2048", "--height", "2048", "--seed", "3"]) == 0
-    assert main(["train", "--dataset", str(root), "--out", str(tmp_path / "run"), "--seed", "55",
+    assert main(["train", "--dataset", str(root), "--out", str(tmp_path / "run"), "--set", "train.seed=55",
                  *TINY_SETS]) == 0
     args = ["--dataset", str(root), "--params", str(tmp_path / "run" / "params.msmp"), *TINY_SETS,
             "--set", "train.random_quotas=3,2,1", "--set", "train.seed=5"]

@@ -113,8 +113,8 @@ def test_layer_norm_constant_row_zero():
 def test_layer_norm_already_normalized():
     g = nc.tensor(np.ones((1, 2)))
     b = nc.tensor(np.zeros((1, 2)))
-    out = nc.layer_norm(nc.tensor([[-1.0, 1.0]]), g, b, eps=1e-12)
-    np.testing.assert_allclose(out.data, [[-1.0, 1.0]], atol=1e-6)
+    out = nc.layer_norm(nc.tensor([[-1.0, 1.0]]), g, b)
+    np.testing.assert_allclose(out.data, [[-1.0, 1.0]] / np.sqrt(1 + 1e-5), rtol=0, atol=1e-15)
 
 
 def test_layer_norm_moments():

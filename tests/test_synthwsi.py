@@ -147,8 +147,6 @@ def test_spec_validation():
     with pytest.raises(SpecError):
         SynthSpec(lesion_fraction=0.7)
     with pytest.raises(SpecError):
-        SynthSpec(micro_period=24)
-    with pytest.raises(SpecError):
         generate_wsi(SynthSpec(), 4, 1)
 
 
@@ -282,6 +280,19 @@ def test_dataset_write_load_roundtrip(tmp_path):
     assert (rec.image().base == mem.image().base).all()
     filed = FileMaskProvider(tmp_path / "ds").mask_for(rec.ident)
     assert (filed.red == generate_mask(spec, mem.seed).red).all()
+
+
+def test_dataset_with_the_old_texture_keys_still_loads(tmp_path):
+    """Manifests once carried the texture constants as spec fields; loading
+    ignores those five keys."""
+    root = tmp_path / "ds"
+    write_dataset(root, SynthSpec(classes=2, width=1024, height=1024), 2, seed=5)
+    new = load_dataset(root)
+    with open(root / "manifest.txt", "a") as fh:
+        fh.write("noise=6\nmicro_period=32\nmicro_amp=22\nmacro_cell=1024\nmacro_amp=12\n")
+    old = load_dataset(root)
+    assert old.spec == new.spec
+    assert old.seed == new.seed and old.slides == new.slides
 
 
 def test_dataset_write_is_reproducible(tmp_path):
