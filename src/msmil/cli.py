@@ -214,8 +214,8 @@ def cmd_filter(args) -> int:
     dataset = _load_dataset(args.dataset)
     record = _find_slide(dataset, args.slide)
     provider = _provider(dataset, args.mask)
-    image = record.image()
-    patch_set = run_sffm(image.width, image.height, provider.mask_for(record.ident))
+    width, height = record.raster_size()
+    patch_set = run_sffm(width, height, provider.mask_for(record.ident))
     if args.out:
         write_refs(patch_set.refs, Path(args.out))
     n1, n2, n3 = patch_set.per_scale

@@ -16,7 +16,10 @@ feature not finite as float32 never reaches a cache. Training keeps freed
 heap in the process, so no step faults in its tape afresh.
 
 Per-slide patches are box-filtered once into an in-memory bank; they are
-pure functions of the slide, so the cache changes nothing observable.
+pure functions of the slide, so the cache changes nothing observable. A bank
+is built from one streamed pass over the slide's pixels (`pyramid_sums`):
+exact integer block sums, band by band, then 2 x 2 sums of those, divided
+once into the float32 bank.
 
 One rule picks a slide's instances: `SlideBank.usable_idx`, the lesion set
 or the non-background grid at the configured scales, falling back from an
@@ -36,10 +39,11 @@ from pathlib import Path
 import numpy as np
 
 from . import numcore as nc
+from . import raster
 from .iaam import Bag, IaamConfig, IaamNet
 from .msfem import EncoderConfig, PatchEncoder, check_patch_side
 from .params import ParamStore
-from .raster import box_downscale
+from .raster import block_sums, sum_dtype
 from .sffm import (
     SCALE_SIDES,
     MaskProvider,
@@ -51,6 +55,10 @@ from .sffm import (
     tiling,
 )
 from .synthwsi import Dataset, SlideRecord, generate_mask
+
+# Not called here: the benchmark's tracer (perfbench/trace.py) wraps the name
+# `pipeline.box_downscale`, so it stays until the tracer's targets follow `block_sums`.
+box_downscale = raster.box_downscale
 
 BACKGROUND_MEAN = 240.0  # patches brighter than this on every channel are skipped
 RANDOM_QUOTAS = (46, 11, 3)  # random_k picks at 20x/10x/5x, desk scale
@@ -173,38 +181,54 @@ def fallback_slides(banks: list[SlideBank], source: str, scales: tuple[int, ...]
     return sum(b.usable_idx(source, scales)[1] for b in banks)
 
 
+def pyramid_sums(record: SlideRecord, first: int, top: int) -> dict[int, np.ndarray]:
+    """Integer block sums of the slide's pixels at factors first, 2 * first,
+    ..., top: factor -> (H // factor, W // factor, 3) in the narrowest type
+    that holds a block of 8-bit pixels, so uint8 at factor 1. The first level
+    is summed band by band in one pass over the raster (`SlideRecord.bands`;
+    a band is one row of the finest crops, a whole number of first-level
+    blocks); each coarser level is the 2 x 2 sums of the one before. The sums
+    are exact, so each level equals summing the base by its factor directly."""
+    width, height = record.raster_size()
+    factors = [first]
+    while factors[-1] < top:
+        factors.append(2 * factors[-1])
+    levels = {f: np.empty((height // f, width // f, 3), sum_dtype(0, 255 * f * f)) for f in factors}
+    y = 0
+    for band in record.bands(SCALE_SIDES[0]):
+        block_sums(band, first, first, levels[first][y:y + len(band) // first])
+        y += len(band) // first
+    for f in factors[1:]:
+        block_sums(levels[f // 2], 2, 2, levels[f])
+    return levels
+
+
 def build_bank(record: SlideRecord, provider: MaskProvider, resize_side: int) -> SlideBank:
     check_patch_side(resize_side)  # with 1024 * 2**k slide sides, each crop slices a box level
-    image = record.image()
-    lesion = run_sffm(image.width, image.height, provider.mask_for(record.ident))
-    grid = full_grid(image.width, image.height)
+    width, height = record.raster_size()
+    lesion = run_sffm(width, height, provider.mask_for(record.ident))
+    grid = full_grid(width, height)
     pos = {r: i for i, r in enumerate(grid)}
+    tiles = tiling(width, height)
+    sums = pyramid_sums(record, SCALE_SIDES[0] // resize_side, tiles[-1][0])
     patches = np.empty((len(grid), resize_side, resize_side, 3), dtype=np.float32)
     background = np.empty(len(grid), dtype=bool)
-    # dyadic-rational block means make the cascade 8 -> 16 -> 32 -> d_k
-    # bitwise-equal to box-filtering the base by each factor directly, so a
-    # patch's channel means are one cell of the factor-d_k level
-    levels: dict[int, np.ndarray] = {}
-
-    def level_of(factor: int) -> np.ndarray:
-        if factor not in levels:
-            prev = max((f for f in levels if factor % f == 0), default=1)
-            src = levels.get(prev, image.base)
-            levels[factor] = box_downscale(src, factor // prev, factor // prev)
-        return levels[factor]
-
-    # tile (i, j) of scale d_k is block (i, j) of the factor d_k // S level,
-    # moved into the float32 bank without a float64 copy
+    # tile (i, j) of scale d_k is block (i, j) of the factor f = d_k // S level.
+    # Its sums are divided by f * f straight into the float32 bank: f * f is a
+    # power of two, so each value is the float64 box mean rounded once to
+    # float32. A patch is background when its d_k x d_k sums exceed 240 per
+    # pixel on every channel, i.e. its box mean exceeds BACKGROUND_MEAN.
     start = 0
-    for d_k, rows, cols in tiling(image.width, image.height):
+    for d_k, rows, cols in tiles:
         end = start + rows * cols
-        tiles = level_of(d_k // resize_side).reshape(rows, resize_side, cols, resize_side, 3)
-        patches[start:end].reshape(rows, cols, resize_side, resize_side, 3)[...] = tiles.swapaxes(1, 2)
-        background[start:end] = (level_of(d_k) > BACKGROUND_MEAN).all(-1).ravel()
+        f = d_k // resize_side
+        np.true_divide(sums[f].reshape(rows, resize_side, cols, resize_side, 3).swapaxes(1, 2), f * f,
+                       out=patches[start:end].reshape(rows, cols, resize_side, resize_side, 3),
+                       dtype=np.float32)
+        background[start:end] = (sums[d_k] > BACKGROUND_MEAN * d_k * d_k).all(-1).ravel()
         start = end
     lesion_idx = np.asarray([pos[r] for r in lesion.refs], dtype=np.int64)
-    record.drop_cache()
-    return SlideBank(record.ident, record.label, image.width, image.height,
+    return SlideBank(record.ident, record.label, width, height,
                      grid, patches, background, lesion_idx, lesion_set=lesion)
 
 

@@ -26,12 +26,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
 from ..numcore.rng import Rng
-from .ppm import read_ppm, write_ppm
-from .pyramid import THUMB_SIDE, LesionMask, PyramidImage, RasterFileError, is_slide_side, mask_to_ppm
+from .ppm import ppm_size, read_ppm, read_ppm_bands, write_ppm
+from .pyramid import (THUMB_SIDE, LesionMask, PyramidImage, RasterFileError, check_slide_sides,
+                      is_slide_side, mask_to_ppm)
 
 
 class SpecError(Exception):
@@ -218,18 +220,37 @@ class SlideRecord:
     path: Path | None = None
     _image: PyramidImage | None = field(default=None, repr=False)
 
+    def raster_size(self) -> tuple[int, int]:
+        """(width, height) of the slide's raster, without reading a pixel: the
+        image's in memory, else that of `image.ppm`, whose header, size and
+        sides are checked (PpmError, or RasterFileError naming the file)."""
+        if self._image is not None:
+            return self._image.width, self._image.height
+        path = self.path / "image.ppm"
+        width, height = ppm_size(path)
+        try:
+            check_slide_sides(width, height)
+        except ValueError as e:
+            raise RasterFileError(f"{path}: {e}") from None
+        return width, height
+
     def image(self) -> PyramidImage:
+        """The slide's raster, read once from `image.ppm` after the checks of
+        `raster_size`, and kept."""
         if self._image is None:
-            path = self.path / "image.ppm"
-            try:
-                self._image = PyramidImage(read_ppm(path))
-            except ValueError as e:
-                raise RasterFileError(f"{path}: {e}") from None
+            self.raster_size()
+            self._image = PyramidImage(read_ppm(self.path / "image.ppm"))
         return self._image
 
-    def drop_cache(self):
-        if self.path is not None:
-            self._image = None
+    def bands(self, rows: int) -> Iterator[np.ndarray]:
+        """The slide's raster in bands of `rows` rows, top to bottom: slices of
+        the image in memory, else bands of `image.ppm` read one at a time into
+        one buffer that the next band overwrites (`read_ppm_bands`). Check the
+        file with `raster_size` first: this checks its header and size only."""
+        if self._image is not None:
+            base = self._image.base
+            return (base[y:y + rows] for y in range(0, len(base), rows))
+        return read_ppm_bands(self.path / "image.ppm", rows)
 
 
 @dataclass

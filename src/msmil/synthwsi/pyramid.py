@@ -23,6 +23,12 @@ def is_slide_side(side: int) -> bool:
     return side >= THUMB_SIDE and side & (side - 1) == 0
 
 
+def check_slide_sides(width: int, height: int) -> None:
+    """ValueError unless both sides keep `is_slide_side`."""
+    if not (is_slide_side(width) and is_slide_side(height)):
+        raise ValueError(f"slide sides must be 1024 * 2**k px, got {width}x{height}")
+
+
 class PyramidImage:
     """Base raster plus lazily derived box-filtered levels.
 
@@ -34,8 +40,7 @@ class PyramidImage:
         base = np.asarray(base)
         if base.ndim != 3 or base.shape[2] != 3 or base.dtype != np.uint8:
             raise ValueError(f"PyramidImage wants (H, W, 3) uint8, got {base.shape} {base.dtype}")
-        if not (is_slide_side(base.shape[1]) and is_slide_side(base.shape[0])):
-            raise ValueError(f"slide sides must be 1024 * 2**k px, got {base.shape[1]}x{base.shape[0]}")
+        check_slide_sides(base.shape[1], base.shape[0])
         self.base = base
         self._levels: dict[int, np.ndarray] = {1: base}
 

@@ -4,6 +4,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
+import msmil.synthwsi.generate as generate
 from msmil.cli import _DEFAULTS, _DERIVED, main
 from msmil.iaam import IaamConfig
 from msmil.msfem import EncoderConfig
@@ -378,6 +379,33 @@ def test_image_file_breaking_the_side_rule_names_it_exit_2(cli_dataset, tmp_path
     assert captured.out == ""
     assert captured.err.startswith(f"io error: {image}: slide sides must be 1024 * 2**k px")
     assert _one_line(captured.err)
+
+
+def test_filter_reads_no_pixel(cli_dataset, monkeypatch, capsys):
+    """The lesion filter needs the slide's size only: the header of image.ppm."""
+    def no_pixels(path, *args):
+        raise AssertionError(f"filter read the pixels of {path}")
+
+    monkeypatch.setattr(generate, "read_ppm", no_pixels)
+    monkeypatch.setattr(generate, "read_ppm_bands", no_pixels)
+    capsys.readouterr()
+    assert main(["filter", "--dataset", str(cli_dataset), "--slide", "slide_0001"]) == 0
+    assert len(capsys.readouterr().out.split()) == 3
+
+
+def test_infer_cut_image_file_names_it_exit_2(cli_trained, tmp_path, capsys):
+    root = tmp_path / "ds"
+    assert main(["generate", "--out", str(root), "--slides", "1", "--width", "1024",
+                 "--height", "1024", "--seed", "3"]) == 0
+    image = root / "slide_0000" / "image.ppm"
+    image.write_bytes(image.read_bytes()[:-1000])
+    capsys.readouterr()
+    rc = main(["infer", "--dataset", str(root), "--slide", "slide_0000",
+               "--params", str(cli_trained / "params.msmp"), *TINY_SETS])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"io error: {image}: truncated raster: ") and _one_line(captured.err)
 
 
 def test_generate_width_breaking_the_side_rule_exit_5(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -22,6 +23,8 @@ from msmil.pipeline import (
     cache_features,
     e2e_train_step,
     infer_bank,
+    oracle_provider,
+    pyramid_sums,
     read_cache,
     select_batch,
     sidecar_path,
@@ -30,8 +33,10 @@ from msmil.pipeline import (
     train_mil_stage2,
     write_cache,
 )
-from msmil.sffm import OracleMaskProvider
-from msmil.synthwsi import LesionMask
+from msmil.raster import box_downscale
+from msmil.sffm import OracleMaskProvider, tiling
+from msmil.synthwsi import (LesionMask, PpmError, RasterFileError, SlideRecord, SynthSpec, build_dataset,
+                            load_dataset, read_ppm, write_dataset)
 from tests.conftest import TINY_SIDE, fresh_tiny_model, tiny_model_config
 
 
@@ -49,6 +54,112 @@ def test_tiny_bank_bytes_are_pinned(tiny_banks):
         for arr in (bank.patches, bank.background, bank.lesion_idx):
             digest.update(np.ascontiguousarray(arr).tobytes())
     assert digest.hexdigest() == TINY_BANKS_SHA256
+
+
+@pytest.fixture(scope="module", params=[1024, 2048], ids=lambda side: f"{side}px")
+def twin_datasets(request, tmp_path_factory):
+    """One seeded two-slide C=2 dataset of `request.param`-px slides, held in
+    memory (`build_dataset`) and written to and loaded from disk."""
+    spec = SynthSpec(classes=2, width=request.param, height=request.param)
+    root = tmp_path_factory.mktemp(f"twin{request.param}") / "ds"
+    write_dataset(root, spec, 2, seed=31)
+    return build_dataset(spec, 2, seed=31), load_dataset(root)
+
+
+def _bank_bytes(bank):
+    return [np.ascontiguousarray(a).tobytes() for a in (bank.patches, bank.background, bank.lesion_idx)]
+
+
+@pytest.mark.parametrize("side", [32, 64, 512])
+def test_banks_streamed_from_disk_equal_banks_in_memory(twin_datasets, side):
+    held, filed = twin_datasets
+    provider = oracle_provider(held)
+    for mem, disk in zip(held.slides, filed.slides):
+        assert _bank_bytes(build_bank(disk, provider, side)) == _bank_bytes(build_bank(mem, provider, side))
+
+
+@pytest.mark.parametrize("side", [32, 64, 512])
+def test_bank_patches_are_float64_box_means_rounded_to_float32(twin_datasets, side):
+    """Each patch is the float64 box mean of its crop, rounded once to float32,
+    and a patch is background when that mean over its whole crop exceeds 240
+    on every channel."""
+    held, _ = twin_datasets
+    record = held.slides[1]
+    bank = build_bank(record, oracle_provider(held), side)
+    base = record.image().base
+    start = 0
+    for d_k, rows, cols in tiling(bank.width, bank.height):
+        f = d_k // side
+        for i in range(rows):  # one row of crops at a time: float64 means of a whole base are large
+            strip = base[i * d_k:(i + 1) * d_k]
+            means = box_downscale(strip, f, f).reshape(side, cols, side, 3).swapaxes(0, 1)
+            assert bank.patches[start:start + cols].tobytes() == means.astype(np.float32).tobytes()
+            np.testing.assert_array_equal(bank.background[start:start + cols],
+                                          (box_downscale(strip, d_k, d_k) > 240.0).all(-1).ravel())
+            start += cols
+    assert start == len(bank.refs)
+
+
+@pytest.mark.parametrize("where", ["memory", "disk"])
+def test_first_level_at_side_512_is_the_uint8_raster_with_no_wider_copy(twin_datasets, where):
+    """At S = 512 the first factor is 1: that level holds the raster's own
+    uint8 pixels, read with no copy of the base at a wider type (a uint16 one
+    alone is two bytes per base byte). Each coarser level holds its block
+    sums exactly in the narrowest type."""
+    held, filed = twin_datasets
+    base = held.slides[0].image().base
+    record = (held if where == "memory" else filed).slides[0]
+    tracemalloc.start()
+    try:
+        first = pyramid_sums(record, 1, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert list(first) == [1] and first[1].dtype == np.uint8 and first[1].tobytes() == base.tobytes()
+    assert peak < 2 * base.nbytes, f"peak {peak} bytes for a {base.nbytes}-byte base"
+    side = base.shape[0]
+    levels = pyramid_sums(record, 1, side)
+    assert [(f, levels[f].dtype) for f in (2, 4, 16, 32)] == [
+        (2, np.uint16), (4, np.uint16), (16, np.uint16), (32, np.uint32)]
+    assert levels[side].shape == (1, 1, 3)
+    assert (levels[side] == base.sum(axis=(0, 1), dtype=np.int64)).all()
+
+
+# case -> (the bytes of image.ppm, the exception, its message after the path):
+# what `read_ppm` and `SlideRecord.image()` raise for each malformed raster
+_PIXELS = 1024 * 1024 * 3
+_MALFORMED = {
+    "bad_magic": (lambda: b"P5\n1024 1024\n255\n" + bytes(_PIXELS), PpmError,
+                  "not a P6 file (magic b'P5') (byte offset 0)"),
+    "non_integer_field": (lambda: b"P6\n1024 x24\n255\n" + bytes(_PIXELS), PpmError,
+                          "expected integer, got b'x24' (byte offset 8)"),
+    "maxval_65535": (lambda: b"P6\n1024 1024\n65535\n" + bytes(_PIXELS), PpmError,
+                     "unsupported maxval 65535 (byte offset 13)"),
+    "no_whitespace_after_maxval": (lambda: b"P6\n1024 1024\n255", PpmError,
+                                   "missing whitespace after maxval (byte offset 16)"),
+    "truncated": (lambda: b"P6\n1024 1024\n255\n" + bytes(_PIXELS - 5), PpmError,
+                  "truncated raster: need 3145728 bytes, have 3145723 (byte offset 3145740)"),
+    "trailing_bytes": (lambda: b"P6\n1024 1024\n255\n" + bytes(_PIXELS + 1), PpmError,
+                       "1 trailing bytes after the raster (byte offset 3145745)"),
+    "1024x3072": (lambda: b"P6\n1024 3072\n255\n" + bytes(3 * _PIXELS), RasterFileError,
+                  "slide sides must be 1024 * 2**k px, got 1024x3072"),
+}
+
+
+@pytest.mark.parametrize("case", _MALFORMED)
+def test_malformed_raster_fails_build_bank_as_it_fails_the_readers(tmp_path, case):
+    data, kind, message = _MALFORMED[case]
+    path = tmp_path / "image.ppm"
+    path.write_bytes(data())
+    record = SlideRecord("slide_0000", 0, 1024, 1024, 0, path=tmp_path)
+    blank = OracleMaskProvider({record.ident: LesionMask(np.zeros((1024, 1024), dtype=bool))})
+    readers = [lambda: build_bank(record, blank, TINY_SIDE), record.image]
+    if kind is PpmError:
+        readers.append(lambda: read_ppm(path))
+    for read in readers:
+        with pytest.raises(kind) as e:
+            read()
+        assert str(e.value) == f"{path}: {message}"
 
 
 @pytest.mark.parametrize("side", [48, 1024])

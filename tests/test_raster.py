@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from msmil.raster import box_downscale
+from msmil.raster import block_sums, box_downscale, sum_dtype
 
 MB = 1 << 20
 
@@ -57,3 +57,19 @@ def test_box_downscale_makes_no_float_copy_of_the_input():
         tracemalloc.stop()
     assert (out == 200.0).all()
     assert peak < float_copy / 4, f"peak {peak / MB:.1f} MiB against a {float_copy / MB:.0f} MiB float64 copy"
+
+
+def test_block_sums_cascade_stays_exact_in_the_narrowest_type():
+    """2 x 2 sums of 2 x 2 sums, each level in the narrowest integer type that
+    holds a block of 8-bit pixels, equal summing the pixels by each factor."""
+    rng = np.random.default_rng(6)
+    for img in (rng.integers(0, 256, size=(128, 64, 3), dtype=np.uint8), np.full((128, 64, 3), 255, np.uint8)):
+        level, factor = img, 1
+        while factor < 64:
+            factor *= 2
+            out = np.empty((128 // factor, 64 // factor, 3), sum_dtype(0, 255 * factor * factor))
+            level = block_sums(level, 2, 2, out)
+            direct = img.reshape(128 // factor, factor, 64 // factor, factor, 3).sum(axis=(1, 3))
+            assert level is out and (level == direct).all()
+        assert level.dtype == np.uint32
+    assert [sum_dtype(0, 255 * f * f) for f in (1, 2, 16, 32)] == [np.uint8, np.uint16, np.uint16, np.uint32]

@@ -24,6 +24,7 @@ from msmil.synthwsi import (
     write_dataset,
     write_ppm,
 )
+from msmil.synthwsi.ppm import ppm_size, read_ppm_bands
 
 
 # ------------------------------------------------------------- generate_wsi
@@ -248,6 +249,31 @@ def test_ppm_header_errors_quote_the_bytes_read(tmp_path):
     path.write_bytes(b"P6\nxx 2\n255\n")
     with pytest.raises(PpmError, match=rf"^{at}expected integer, got b'xx' \(byte offset 3\)$"):
         read_ppm(path)
+
+
+def test_ppm_bands_share_one_buffer_and_rebuild_the_raster(tmp_path):
+    raster = np.random.default_rng(5).integers(0, 256, size=(10, 4, 3), dtype=np.uint8)
+    path = tmp_path / "b.ppm"
+    write_ppm(raster, path)
+    assert ppm_size(path) == (4, 10)
+    rows, addresses = [], set()
+    for band in read_ppm_bands(path, 4):
+        rows.append(band.copy())
+        addresses.add(band.ctypes.data)
+    assert [len(band) for band in rows] == [4, 4, 2] and len(addresses) == 1
+    np.testing.assert_array_equal(np.concatenate(rows), raster)
+
+
+def test_ppm_size_and_bands_fail_as_read_ppm_fails(tmp_path):
+    path = tmp_path / "bad.ppm"
+    for data in (b"", b"P6\n4 ", b"P6\n4 4\n255\n" + bytes(47), b"P6\n4 4\n255\n" + bytes(49)):
+        path.write_bytes(data)
+        with pytest.raises(PpmError) as want:
+            read_ppm(path)
+        for read in (lambda: ppm_size(path), lambda: next(read_ppm_bands(path, 2))):
+            with pytest.raises(PpmError) as got:
+                read()
+            assert (str(got.value), got.value.offset) == (str(want.value), want.value.offset)
 
 
 def test_ppm_read_holds_the_raster_once(tmp_path):
