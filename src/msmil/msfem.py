@@ -5,7 +5,11 @@ side S by the whole box factor d_k / S (block means; no resize and no
 upsampling), runs through a strided conv trunk to an m x m feature map, is
 flattened to tokens with a sinusoidal index encoding, and is summarized by
 a learnable classification token through pre-norm transformer blocks. The
-final token is projected to the instance feature dimension.
+final token is projected to the instance feature dimension. Only that token
+is read out, so the last block keeps just the classification rows after its
+attention, which still runs over every token; the rest of a block is row-wise,
+so the readout is unchanged at a fraction of the work and tape (CaiT's class
+attention).
 
 Patches are encoded in batches: the conv trunk and the row-wise transformer
 pieces stack all patches into one set of matrices, and self-attention runs
@@ -148,12 +152,16 @@ class PatchEncoder:
             side = (side + 2 * CONV_PAD - CONV_KERNEL) // CONV_STRIDE + 1
         return x
 
-    def _encoder_block(self, x: nc.Tensor, layer: int, batch: int) -> nc.Tensor:
+    def _encoder_block(self, x: nc.Tensor, layer: int, keep: np.ndarray | None = None) -> nc.Tensor:
+        """One pre-norm block over (batch*seq_len, c) rows; with `keep`, only
+        those rows go on past the attention and come out."""
         cfg = self.cfg
         base = f"layer{layer}"
         normed = nc.layer_norm(x, self._p(f"{base}.ln1.g"), self._p(f"{base}.ln1.b"))
         qkv = nc.matmul(normed, self._p(f"{base}.qkv.w"))
         ctx = nc.block_self_attention(qkv, cfg.seq_len, cfg.heads)
+        if keep is not None:
+            x, ctx = nc.gather_rows(x, keep), nc.gather_rows(ctx, keep)
         attn = nc.linear(ctx, self._p(f"{base}.attn_out.w"), self._p(f"{base}.attn_out.b"))
         x = nc.add(x, attn)
         normed = nc.layer_norm(x, self._p(f"{base}.ln2.g"), self._p(f"{base}.ln2.b"))
@@ -162,21 +170,27 @@ class PatchEncoder:
         return nc.add(x, mlp)
 
     def summarize(self, tokens: nc.Tensor, batch: int) -> nc.Tensor:
-        """(batch*m*m, c_f) token rows -> (batch, token_dim) features."""
+        """(batch*m*m, c_f) token rows -> (batch, token_dim) features.
+
+        Each patch is the classification token followed by its m*m tokens.
+        Only the classification rows are read out, so the last block keeps
+        just those rows after its attention, which still mixes every token
+        into them; the rest of a block works row by row, so the readout is
+        an all-rows block's. At depth 0 the rows are the token itself.
+        """
         cfg = self.cfg
         n_tok = cfg.feature_side ** 2
         pos = nc.tensor(np.tile(self._pos, (batch, 1)))
         tokens = nc.add(tokens, pos)
         full = nc.concat_rows([self._p("cls"), tokens])
-        idx = np.empty(batch * cfg.seq_len, dtype=np.int64)
-        for b in range(batch):
-            idx[b * cfg.seq_len] = 0
-            idx[b * cfg.seq_len + 1:(b + 1) * cfg.seq_len] = 1 + b * n_tok + np.arange(n_tok)
-        x = nc.gather_rows(full, idx)
+        # patch b's row j > 0 is row b*n_tok + j of `full` (its token j - 1), row 0 the cls
+        idx = np.arange(cfg.seq_len) + n_tok * np.arange(batch)[:, None]
+        idx[:, 0] = 0
+        cls_rows = np.arange(batch) * cfg.seq_len
+        x = nc.gather_rows(full, idx.ravel() if cfg.depth else idx[:, 0])
         for layer in range(cfg.depth):
-            x = self._encoder_block(x, layer, batch)
-        cls_rows = nc.gather_rows(x, np.arange(batch) * cfg.seq_len)
-        normed = nc.layer_norm(cls_rows, self._p("final_ln.g"), self._p("final_ln.b"))
+            x = self._encoder_block(x, layer, cls_rows if layer == cfg.depth - 1 else None)
+        normed = nc.layer_norm(x, self._p("final_ln.g"), self._p("final_ln.b"))
         return nc.linear(normed, self._p("proj.w"), self._p("proj.b"))
 
     # ------------------------------------------------------------ surface

@@ -20,11 +20,14 @@ from msmil.synthwsi import LesionMask
 from tests.conftest import TINY_SIDE, fresh_tiny_model
 
 # SHA-256 of the params and the per-epoch loss and accuracy entries of both
-# stages after a tiny `train_full`, per patch source
+# stages after a tiny `train_full`, per patch source. Recorded again when the
+# encoder's last block came to compute only the classification rows: the
+# gradients moved by rounding only (tests/test_msfem.py checks them against
+# an all-rows block), the manifests not at all
 TRAIN_FULL_SHA256 = {
-    "all_nonbackground": "6952be9828d7dec49d1ebf200e9a7a4f804880b8e78840a597651f182a075de6",
-    "lesion_only": "6687e1b69393d62ef0b26cf0f7c656564ced127ff36cc2c31faf61c5ad57d7d5",
-    "random_k": "66b985ea1b7d0eff095b8c82608f7ef21da5bc28ed2e8f22e05c81a9d0867ed4",
+    "all_nonbackground": "dd22d73d796a91c18eb736f2722a16f44d3a9919552956fa10c4f60bd8025b57",
+    "lesion_only": "51ed8a013f600c059e481716c03315bf34db6426fc37aacc40be737c740e3a8b",
+    "random_k": "89cfe2334d7dbeca28f18fd4dbc6afccd4a18ca54f21b7c7f2e4dc76ff8a68cc",
 }
 # SHA-256 of `evaluate`'s probabilities and patch counts, per strategy
 EVALUATE_SHA256 = {

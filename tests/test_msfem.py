@@ -166,6 +166,59 @@ def test_extract_batch_matches_single(c4_slides):
         np.testing.assert_allclose(batched[i], single, atol=1e-12)
 
 
+
+def _all_rows_summary(enc, tokens, batch):
+    """The encoder's summary with every block run over all rows, then one
+    gather of the classification rows: what `summarize` computed before its
+    last block kept only those rows."""
+    cfg, p = enc.cfg, enc._p
+    n_tok, seq = cfg.feature_side ** 2, cfg.seq_len
+    tokens = nc.add(tokens, nc.tensor(np.tile(sinusoid_table(n_tok, cfg.feature_channels), (batch, 1))))
+    full = nc.concat_rows([p("cls"), tokens])
+    x = nc.gather_rows(full, np.concatenate([np.r_[0, 1 + b * n_tok + np.arange(n_tok)] for b in range(batch)]))
+    for layer in range(cfg.depth):
+        q = lambda n: p(f"layer{layer}.{n}")
+        qkv = nc.matmul(nc.layer_norm(x, q("ln1.g"), q("ln1.b")), q("qkv.w"))
+        x = nc.add(x, nc.linear(nc.block_self_attention(qkv, seq, cfg.heads), q("attn_out.w"), q("attn_out.b")))
+        hidden = nc.silu(nc.linear(nc.layer_norm(x, q("ln2.g"), q("ln2.b")), q("mlp1.w"), q("mlp1.b")))
+        x = nc.add(x, nc.linear(hidden, q("mlp2.w"), q("mlp2.b")))
+    cls = nc.gather_rows(x, np.arange(batch) * seq)
+    return nc.linear(nc.layer_norm(cls, p("final_ln.g"), p("final_ln.b")), p("proj.w"), p("proj.b"))
+
+
+@pytest.mark.parametrize("batch,depth", [(2, 1), (5, 1), (2, 2), (5, 2), (1, 1), (1, 2), (3, 0), (1, 0)])
+def test_summary_matches_an_all_rows_last_block(batch, depth):
+    """The last block computes only the classification rows after its
+    attention, and reads out what an all-rows block would: bitwise at
+    batch >= 2 with a block, within rounding at batch 1 (one-row matmuls)
+    and at depth 0, and with every encoder gradient within rounding."""
+    enc, store = tiny_encoder(seed=13, depth=depth)
+    for name, t in store.items():  # off the identity norms and zero biases
+        t.data += 0.1 * nc.Rng(len(name)).normal(t.data.size).reshape(t.shape)
+    rng = nc.Rng(29)
+    patches = (rng.uniform(batch * 16 * 16 * 3) * 255).reshape(batch, 16, 16, 3)
+    weights = nc.tensor(rng.normal(batch * 12).reshape(batch, 12))
+
+    def run(summarize):
+        store.zero_grad()
+        with nc.record() as graph:
+            tokens = enc.conv_trunk(nc.tensor(patches.reshape(-1, 3) / 255.0), batch)
+            out = summarize(tokens, batch)
+            loss = nc.sum_all(nc.mul(out, weights))
+        graph.backward(loss)
+        return out.data, {n: t.grad.copy() for n, t in store.items()}
+
+    got, got_grads = run(enc.summarize)
+    want, want_grads = run(lambda tokens, b: _all_rows_summary(enc, tokens, b))
+    if batch >= 2 and depth:
+        np.testing.assert_array_equal(got, want)
+    else:
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(enc.extract_batch(patches).data, got)
+    assert set(got_grads) == set(want_grads) == set(store.names())
+    for name, g in want_grads.items():
+        assert np.abs(got_grads[name] - g).max() <= 1e-12 * np.abs(g).max(), name
+
 def _tape_arrays(graph):
     """Every array the tape holds after the forward: node outputs and what
     each vjp closure captured, followed into nested closures."""
@@ -225,6 +278,22 @@ def test_encoder_tape_keeps_no_unfolded_conv_columns():
         assert any(np.array_equal(a, x.data) for a in same_shape)      # the stage output
         assert not any(np.array_equal(a, pre.data) or np.array_equal(a, normed.data) for a in same_shape)
 
+
+
+@pytest.mark.parametrize("depth,full_mlp_arrays", [(1, 0), (2, 2)])
+def test_encoder_tape_keeps_mlp_arrays_of_all_rows_only_before_the_last_block(depth, full_mlp_arrays):
+    """A recorded encoder pass holds (batch*seq_len, 4c) MLP arrays only for
+    the blocks before the last (each one's pre-activation and SiLU output);
+    the last block's MLP runs on the batch classification rows alone."""
+    cfg = EncoderConfig(depth=depth)
+    enc = PatchEncoder(cfg, ParamStore(), nc.Rng(5))
+    batch, side, wide = 2, cfg.input_side, 4 * cfg.feature_channels
+    patches = (nc.Rng(6).uniform(batch * side * side * 3) * 255).reshape(batch, side, side, 3)
+    with nc.record() as graph:
+        enc.extract_batch(patches)
+    shapes = [a.shape for a in _tape_arrays(graph)]
+    assert shapes.count((batch * cfg.seq_len, wide)) == full_mlp_arrays
+    assert shapes.count((batch, wide)) == 2
 
 def test_conv_stage_backward_peak_is_set_by_the_span_not_the_batch(request):
     """Heap peak of one conv stage's vjp above its live tape, less the map
